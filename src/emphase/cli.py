@@ -87,7 +87,6 @@ def _config_from(args: argparse.Namespace) -> Config:
             if not path.is_file():
                 raise InputError(f"cannot read {path}: no such file")
             setattr(config, dest, path)
-    config.output_format = args.format
     return config
 
 

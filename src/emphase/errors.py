@@ -79,6 +79,10 @@ class UnclassifiedFormError(RuleGapError):
 
 
 class AmbiguousProcessError(RuleGapError):
+    """The process selection of a form is not unique."""
+
+
+class OverlappingRulesError(AmbiguousProcessError):
     """More than one process-type rule matches (rule data not disjoint)."""
 
 

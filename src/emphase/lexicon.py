@@ -27,6 +27,7 @@ from .emphasis import (
 )
 from .errors import (
     AmbiguousProcessError,
+    OverlappingRulesError,
     ParseError,
     SchemeError,
     UnclassifiedFormError,
@@ -350,7 +351,7 @@ def select_process_type(
             f"blocked {sorted(form.blocking.blocked)})"
         )
     if len(matches) > 1:
-        raise AmbiguousProcessError(
+        raise OverlappingRulesError(
             "process-type rules are not disjoint: "
             + " and ".join(r.um_type for r in matches)
         )

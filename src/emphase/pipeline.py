@@ -36,7 +36,13 @@ from .emphasis import (
     parse_case_priority,
     parse_oblique_table,
 )
-from .errors import EmphaseError, FocusConflictError, InputError, RuleGapError
+from .errors import (
+    EmphaseError,
+    FocusConflictError,
+    InputError,
+    OverlappingRulesError,
+    RuleGapError,
+)
 from .lexicon import (
     ProcessRule,
     ProcessSelection,
@@ -74,9 +80,7 @@ from .scheme import (
     parse_field,
     validate_binding,
 )
-from .spl import SplTerm, build_spl
-
-RECIPIENT_ROLE = "recipient"
+from .spl import RECIPIENT_ROLE, SplTerm, build_spl
 
 # package data resolves to real files; CLI overrides are plain paths
 DataPath = Path | Traversable
@@ -88,7 +92,7 @@ def _data_root() -> Traversable:
 
 @dataclass
 class Config:
-    """Paths of the nine data files plus the output format."""
+    """Paths of the nine data files."""
 
     field_path: DataPath
     rules_path: DataPath
@@ -99,7 +103,6 @@ class Config:
     lexicon_path: DataPath
     np_path: DataPath
     morph_path: DataPath
-    output_format: str = "text"
 
     @classmethod
     def default(cls) -> "Config":
@@ -120,7 +123,7 @@ class Config:
 def read_data(path: DataPath) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
 
 
@@ -130,10 +133,14 @@ class Bundle:
     Each piece is read and validated on first use, so a command that
     only needs the case frame never parses the lexicon, and overriding
     one file does not force the others to stay coherent with it.
+    The frames of a lemma and the process selection of an entry are
+    derived on first request and kept; a failed derivation is not.
     """
 
     def __init__(self, config: Config):
         self.config = config
+        self._frames: dict[str, list[tuple[VerbEntry, SemanticForm]]] = {}
+        self._selections: dict[VerbEntry, ProcessSelection] = {}
 
     @cached_property
     def field(self) -> FieldDefinition:
@@ -197,6 +204,27 @@ class Bundle:
         return enumerate_semantic_forms(
             self.field, self.case_frame, self.oblique_table, self.priority
         )
+
+    def frames(self, lemma: str) -> list[tuple[VerbEntry, SemanticForm]]:
+        """Each lexicon entry of ``lemma`` with the form it lexicalizes."""
+        frames = self._frames.get(lemma)
+        if frames is None:
+            entries = [e for e in self.verbs if e.lemma == lemma]
+            if not entries:
+                raise InputError(f"no lexicon entry for verb {lemma!r}")
+            frames = [(e, form_for_entry(self, e)) for e in entries]
+            self._frames[lemma] = frames
+        return frames
+
+    def selection(self, entry: VerbEntry, form: SemanticForm) -> ProcessSelection:
+        """Process type and participants of ``entry``, whose form is ``form``."""
+        selection = self._selections.get(entry)
+        if selection is None:
+            selection = select_process_type(
+                form, self.process_rules, self.role_maps, self.upper_model
+            )
+            self._selections[entry] = selection
+        return selection
 
 
 def load_bundle(config: Config) -> Bundle:
@@ -268,10 +296,7 @@ def generate(
     focus_role: str | None = None,
 ) -> GenerationResult:
     """Run the whole pipeline for one verb and binding."""
-    entries = [e for e in bundle.verbs if e.lemma == lemma]
-    if not entries:
-        raise InputError(f"no lexicon entry for verb {lemma!r}")
-    candidates = [(e, form_for_entry(bundle, e)) for e in entries]
+    candidates = bundle.frames(lemma)
 
     effective_q = emphasis_q
     if script_state is not None:
@@ -330,9 +355,7 @@ def generate(
             )
         entry, form = chosen
 
-    selection = select_process_type(
-        form, bundle.process_rules, bundle.role_maps, bundle.upper_model
-    )
+    selection = bundle.selection(entry, form)
     plan = build_spl(form, selection, entry, binding, effective_q)
     sentence = realize(
         form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
@@ -402,7 +425,8 @@ def check_bundle(bundle: Bundle) -> CheckReport:
                     f"verb {entry.lemma!r} declares {entry.declared_um} but "
                     f"classifies as {selection.um_type}"
                 )
-    lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
+    if not input_problems:
+        lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
     ambiguous = 0
     for form in enumeration.forms:
@@ -410,10 +434,11 @@ def check_bundle(bundle: Bundle) -> CheckReport:
             select_process_type(
                 form, bundle.process_rules, bundle.role_maps, bundle.upper_model
             )
-        except RuleGapError as err:
-            if "not disjoint" in str(err):
-                ambiguous += 1
-                input_problems.append(str(err))
+        except OverlappingRulesError as err:
+            ambiguous += 1
+            input_problems.append(str(err))
+        except RuleGapError:
+            pass
     if not ambiguous:
         lines.append("process rules: disjoint over the atlas")
 

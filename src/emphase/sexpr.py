@@ -143,7 +143,7 @@ def read_all(text: str) -> list[Term]:
 
 
 def _symbol_ok(word: str) -> bool:
-    if not word or any(c in _DELIMS or c.isspace() for c in word):
+    if not (_DELIMS.isdisjoint(word) and word.split() == [word]):
         return False
     # A symbol that would read back as an integer must not be written bare.
     return not (word.lstrip("-").isdigit() and word.lstrip("-"))

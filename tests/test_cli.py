@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: output, formats, exit codes."""
 
+from pathlib import Path
+
 from emphase import sexpr
 from emphase.cli import main
 from emphase.pipeline import Config
@@ -270,6 +272,45 @@ def test_check_reports_lexicon_mismatch(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--lexicon", str(lex))
     assert code == 1
     assert "declares directed-action" in out
+
+
+def test_check_claims_only_a_clean_lexicon(capsys, tmp_path):
+    lex = tmp_path / "outside.lex"
+    lex.write_text(
+        """(verb "zerfallen" (field change-of-possession)
+              (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+              (blocked ?a ?a1 ?a2 ?a3 ?a4)
+              (event decay) (present-3sg "zerfällt"))"""
+    )
+    code, out, _ = run(capsys, "check", "--lexicon", str(lex))
+    assert code == 1
+    assert "problem: verb 'zerfallen' names a pattern outside the atlas" in out
+    assert not any(line.startswith("lexicon:") for line in out.splitlines())
+
+
+def test_check_reports_overlapping_process_rules(capsys, tmp_path):
+    process = tmp_path / "overlap.process"
+    process.write_text(
+        Path(data_path("rules", "change-of-possession.process")).read_text()
+        + "(process-rule action (unblocked agens))"
+    )
+    code, out, _ = run(capsys, "check", "--process", str(process))
+    assert code == 1
+    assert "process-type rules are not disjoint" in out
+    assert "process rules: disjoint over the atlas" not in out
+
+
+def test_bad_utf8_binding_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.binding"
+    bad.write_bytes("(binding (ref ?a jürgen person))".encode("latin-1"))
+    code, out, err = run(
+        capsys, "generate", "--verb", "verlieren", "--bindings", str(bad)
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("emphase: error [binding]: cannot read ")
+    assert str(bad) in err
 
 
 def test_outputs_deterministic(capsys):

@@ -3,11 +3,19 @@
 import pytest
 
 from emphase.emphasis import BlockingSet, EmphasisAssignment
-from emphase.errors import ParseError, SchemeError, UnclassifiedFormError
+from emphase.errors import (
+    AmbiguousProcessError,
+    OverlappingRulesError,
+    ParseError,
+    SchemeError,
+    UnclassifiedFormError,
+)
 from emphase.lexicon import (
+    RoleMapRule,
     evaluate_condition,
     match_verbs,
     parse_lexicon,
+    parse_process_rules,
     parse_upper_model,
     select_process_type,
 )
@@ -126,6 +134,20 @@ def test_rules_disjoint_over_whole_atlas(bundle, atlas):
             r for r in bundle.process_rules if evaluate_condition(r.condition, form)
         ]
         assert len(matches) <= 1
+
+
+def test_overlapping_rules_and_non_injective_map_are_told_apart(bundle, golden_forms):
+    form = golden_forms["schicken-dative"]
+    rules, _ = parse_process_rules(
+        "(process-rule directed-action (unblocked goal))"
+        "(process-rule action (unblocked agens))"
+    )
+    with pytest.raises(OverlappingRulesError, match="not disjoint"):
+        select_process_type(form, rules, bundle.role_maps)
+    clashing = bundle.role_maps + [RoleMapRule("beneficiary", ("goal",))]
+    with pytest.raises(AmbiguousProcessError, match="injective") as exc:
+        select_process_type(form, bundle.process_rules, clashing)
+    assert not isinstance(exc.value, OverlappingRulesError)
 
 
 def test_both_dispositive_and_directed_occur(bundle, atlas):

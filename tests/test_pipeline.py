@@ -1,7 +1,10 @@
 """Bundle loading, frame selection, and end-to-end generation."""
 
+from collections import Counter
+
 import pytest
 
+from emphase import pipeline
 from emphase.discourse import EmphasisQ, parse_script, run_script
 from emphase.emphasis import Case, DirectCase, Oblique
 from emphase.errors import FocusConflictError, InputError
@@ -118,6 +121,56 @@ def test_check_bundle_ok(bundle):
 def test_bundle_pieces_are_cached(bundle):
     assert bundle.field is bundle.field
     assert bundle.case_frame is bundle.case_frame
+
+
+def test_generate_derives_forms_and_selections_once(monkeypatch, binding_send, binding_key):
+    bundle = load_bundle(Config.default())
+    derived, selected = Counter(), Counter()
+    derive, select = pipeline.form_for_entry, pipeline.select_process_type
+
+    def counting_derive(b, entry):
+        derived[entry] += 1
+        return derive(b, entry)
+
+    def counting_select(form, *rules):
+        selected[(form.emphasis, form.blocking)] += 1
+        return select(form, *rules)
+
+    monkeypatch.setattr(pipeline, "form_for_entry", counting_derive)
+    monkeypatch.setattr(pipeline, "select_process_type", counting_select)
+    for _ in range(3):
+        generate(bundle, "schicken", binding_send, emphasis_q=EmphasisQ.EMPHATIC)
+        generate(bundle, "verlieren", binding_key)
+    assert derived == Counter({e: 1 for e in bundle.verbs if e.lemma != "wegwerfen"})
+    # only the chosen frame of schicken is classified
+    assert selected == Counter(
+        {PATTERNS["schicken-dative"]: 1, PATTERNS["verlieren"]: 1}
+    )
+    for _ in range(3):
+        generate(bundle, "schicken", binding_send, emphasis_q=EmphasisQ.NONEMPHATIC)
+        generate(bundle, "wegwerfen", binding_key)
+    assert derived == Counter({e: 1 for e in bundle.verbs})
+    assert selected == Counter({pattern: 1 for pattern in PATTERNS.values()})
+
+
+def test_bad_entry_fails_every_call_and_only_its_lemma(tmp_path, binding_key):
+    lexicon = tmp_path / "with-bad.lex"
+    lexicon.write_text(
+        read_data(Config.default().lexicon_path)
+        + """(verb "zerfallen" (field change-of-possession)
+               (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+               (blocked ?a ?a1 ?a2 ?a3 ?a4)
+               (event decay) (present-3sg "zerfällt"))""",
+        encoding="utf-8",
+    )
+    config = Config.default()
+    config.lexicon_path = lexicon
+    bundle = load_bundle(config)
+    for _ in range(2):
+        with pytest.raises(InputError, match="'zerfallen' blocks every argument"):
+            generate(bundle, "zerfallen", binding_key)
+        result = generate(bundle, "wegwerfen", binding_key)
+        assert result.sentence == "Sie wirft den Schlüssel weg."
 
 
 def test_default_config_paths_readable():

@@ -79,10 +79,17 @@ def test_writer_canonical_spacing():
 
 
 def test_writer_rejects_unwritable_symbols():
-    with pytest.raises(ValueError):
-        sexpr.write("has space")
-    with pytest.raises(ValueError):
-        sexpr.write("123")  # a bare symbol that would read back as an int
+    # whitespace in the str.isspace sense (the separator \x1c too), any
+    # delimiter, the empty word, and words that would read back as integers
+    for word in ("has space", "a\x1cb", "a(b", "a)b", 'a"b', "a;b", "", "123", "-12"):
+        with pytest.raises(ValueError):
+            sexpr.write(word)
+
+
+@pytest.mark.parametrize("word", ["-", "3x", "-x1", "?a1", ":emphasis-q", "Schlüssel"])
+def test_writer_symbol_accept_set(word):
+    assert sexpr.write(word) == word
+    assert sexpr.read(word) == word
 
 
 @settings(max_examples=200, deadline=None)
