@@ -28,7 +28,12 @@ from .discourse import (
     update_discourse,
 )
 from .emphasis import DirectCase, Oblique, SemanticForm
-from .errors import EmphaseError, InputError, UnclassifiedFormError
+from .errors import (
+    AmbiguousProcessError,
+    EmphaseError,
+    InputError,
+    UnclassifiedFormError,
+)
 from .lexicon import match_verbs, select_process_type
 from .pipeline import (
     Bundle,
@@ -177,12 +182,15 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
     lines: list[str] = []
     for index, form in enumerate(enumeration.forms, start=1):
         verbs = match_verbs(form, bundle.verbs)
+        # a form no rule or more than one rule classifies is marked, not fatal
         try:
             selection = select_process_type(
                 form, bundle.process_rules, bundle.role_maps, bundle.upper_model
             )
         except UnclassifiedFormError:
-            selection = None
+            selection = "unclassified"
+        except AmbiguousProcessError:
+            selection = "ambiguous"
         if fmt == "structured":
             term: list = [
                 "form",
@@ -191,8 +199,8 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
                 _realization_term(form),
                 ["verbs"] + [QuotedString(v.lemma) for v in verbs],
             ]
-            if selection is None:
-                term.append(["process", "unclassified"])
+            if isinstance(selection, str):
+                term.append(["process", selection])
             else:
                 term.append(
                     ["process", selection.um_type]
@@ -211,8 +219,8 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             lines.append(
                 "  verbs: " + (", ".join(v.lemma for v in verbs) or "(none)")
             )
-            if selection is None:
-                lines.append("  process: unclassified")
+            if isinstance(selection, str):
+                lines.append(f"  process: {selection}")
             else:
                 participants = " ".join(f"{r}={v}" for r, v in selection.participants)
                 lines.append(f"  process: {selection.um_type} [{participants}]")

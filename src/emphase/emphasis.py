@@ -146,15 +146,6 @@ class SemanticForm:
     case_frame: tuple[tuple[str, Role], ...]
     emphatic_variables: frozenset[str]
 
-    def frame(self) -> CaseFrame:
-        return dict(self.case_frame)
-
-    def role_of(self, variable: str) -> Role:
-        for v, role in self.case_frame:
-            if v == variable:
-                return role
-        raise KeyError(variable)
-
     def variable_with_label(self, label: str) -> str | None:
         for v, role in self.case_frame:
             if role.label == label:
@@ -265,12 +256,15 @@ def check_blocking(
 ) -> list[NodePath]:
     """Paths of emphatic basic propositions whose arguments are all
     blocked; empty means the blocking set is admissible."""
+    table = scheme.path_variables
     offending: list[NodePath] = []
-    for path in sorted(emphasis.emphatic):
-        node = scheme.node_at(path)
-        if node.is_basic and all(v.name in blocking for v in node.variables):
+    for path in emphasis.emphatic:
+        names = table.get(path)
+        if names is None:
+            scheme.node_at(path)  # raises: the path leaves the scheme
+        elif names and names <= blocking.blocked:
             offending.append(path)
-    return offending
+    return sorted(offending)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +288,16 @@ class CasePriority:
     accusative: tuple[str, ...] = ()
 
 
-def assign_cases(
-    case_frame: CaseFrame,
-    emphatic: frozenset[str],
-    blocking: BlockingSet,
-    oblique_table: ObliqueTable,
-    priority: CasePriority,
-) -> Realization:
-    """Realize every role of the frame, or raise when the data cannot.
+def direct_cases(
+    case_frame: CaseFrame, pending: list[str], priority: CasePriority
+) -> dict[str, DirectCase]:
+    """Direct cases for the emphatic unblocked variables ``pending`` (in
+    case-frame order), or raise when one of them gets none.
 
-    Direct cases go to emphatic unblocked roles only, scanning each
-    priority order for the first matching unassigned role; obliques go
-    to non-emphatic unblocked roles via the preposition table.
+    Each priority order in turn takes the first matching unassigned
+    role; nominative must be taken.
     """
-    assigned: dict[str, RoleRealization] = {}
-    pending = [v for v in case_frame if v in emphatic and v not in blocking]
+    assigned: dict[str, DirectCase] = {}
 
     def take(order: tuple[str, ...], case: Case):
         for label in order:
@@ -331,7 +320,16 @@ def assign_cases(
             "no direct case available for emphatic role(s): "
             + ", ".join(f"{v} {case_frame[v]}" for v in leftover)
         )
+    return assigned
 
+
+def _realization(
+    case_frame: CaseFrame,
+    blocking: BlockingSet,
+    assigned: dict[str, DirectCase],
+    oblique_table: ObliqueTable,
+) -> Realization:
+    """Blocked, direct or oblique for every role of the frame."""
     entries: list[tuple[str, RoleRealization]] = []
     for v, role in case_frame.items():
         if v in blocking:
@@ -349,6 +347,23 @@ def assign_cases(
     return Realization(tuple(entries))
 
 
+def assign_cases(
+    case_frame: CaseFrame,
+    emphatic: frozenset[str],
+    blocking: BlockingSet,
+    oblique_table: ObliqueTable,
+    priority: CasePriority,
+) -> Realization:
+    """Realize every role of the frame, or raise when the data cannot.
+
+    Direct cases go to emphatic unblocked roles only (``direct_cases``);
+    obliques go to non-emphatic unblocked roles via the preposition table.
+    """
+    pending = [v for v in case_frame if v in emphatic and v not in blocking]
+    assigned = direct_cases(case_frame, pending, priority)
+    return _realization(case_frame, blocking, assigned, oblique_table)
+
+
 # ---------------------------------------------------------------------------
 # Semantic-form enumeration
 
@@ -363,15 +378,11 @@ class FormEnumeration:
 def blocking_subsets(scheme: Scheme) -> list[BlockingSet]:
     """All blocking sets over the scheme's variables, in canonical
     (bitmask over scheme order) order."""
-    variables = scheme.variables
-    out = []
-    for mask in range(2 ** len(variables)):
-        out.append(
-            BlockingSet(
-                frozenset(v for i, v in enumerate(variables) if mask >> i & 1)
-            )
-        )
-    return out
+    subsets: list[frozenset[str]] = [frozenset()]
+    for v in scheme.variables:
+        # the sets with this variable's bit set follow those without it
+        subsets += [s | {v} for s in subsets]
+    return [BlockingSet(s) for s in subsets]
 
 
 def enumerate_semantic_forms(
@@ -381,22 +392,45 @@ def enumerate_semantic_forms(
     priority: CasePriority,
 ) -> FormEnumeration:
     """Every (emphasis, blocking) pair that survives the blocking rule
-    and case assignment, packaged as semantic forms in canonical order."""
+    and case assignment, packaged as semantic forms in canonical order.
+
+    Every pair is visited and checked with ``check_blocking``; the case
+    assignment of a pair is decided without building its realization: a
+    verbalized non-emphatic role needs an oblique entry, and the direct
+    cases depend only on which emphatic roles stay unblocked, so they
+    are computed once per such set.
+    """
+    scheme = field.scheme
     forms: list[SemanticForm] = []
     rejected_blocking = 0
     rejected_assignment = 0
     frame_items = tuple(case_frame.items())
+    blockings = blocking_subsets(scheme)
+    outcomes: dict[frozenset[str], dict[str, DirectCase] | None] = {}
     for emphasis in enumerate_emphasis(field):
-        emphatic = emphatic_variables(field.scheme, emphasis)
-        for blocking in blocking_subsets(field.scheme):
-            if check_blocking(field.scheme, emphasis, blocking):
+        emphatic = emphatic_variables(scheme, emphasis)
+        frame_emphatic = emphatic.intersection(case_frame)
+        must_block = frozenset(
+            v
+            for v, role in frame_items
+            if v not in emphatic and role not in oblique_table.entries
+        )
+        for blocking in blockings:
+            if check_blocking(scheme, emphasis, blocking):
                 rejected_blocking += 1
                 continue
-            try:
-                realization = assign_cases(
-                    case_frame, emphatic, blocking, oblique_table, priority
-                )
-            except (CaseAssignmentError, MissingObliqueError):
+            if not must_block <= blocking.blocked:
+                rejected_assignment += 1
+                continue
+            unblocked = frame_emphatic - blocking.blocked
+            if unblocked not in outcomes:
+                pending = [v for v in case_frame if v in unblocked]
+                try:
+                    outcomes[unblocked] = direct_cases(case_frame, pending, priority)
+                except CaseAssignmentError:
+                    outcomes[unblocked] = None
+            assigned = outcomes[unblocked]
+            if assigned is None:
                 rejected_assignment += 1
                 continue
             forms.append(
@@ -404,7 +438,7 @@ def enumerate_semantic_forms(
                     field_name=field.name,
                     emphasis=emphasis,
                     blocking=blocking,
-                    realization=realization,
+                    realization=_realization(case_frame, blocking, assigned, oblique_table),
                     case_frame=frame_items,
                     emphatic_variables=emphatic,
                 )

@@ -109,6 +109,16 @@ class Scheme:
         return tuple(acc)
 
     @cached_property
+    def path_variables(self) -> dict[NodePath, frozenset[str]]:
+        """Variable names of the proposition at each path; empty for a
+        propositional node.  Built on first use, so parsing never pays
+        for it."""
+        return {
+            path: frozenset(v.name for v in self.node_at(path).variables)
+            for path in self.paths
+        }
+
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         """Variable names in left-to-right scheme order."""
         return tuple(v for v, _site in self._sites)
@@ -144,11 +154,6 @@ class Scheme:
                 )
             node = node.args[i]
         return node
-
-    def parent(self, path: NodePath) -> NodePath:
-        if not path:
-            raise SchemeError("the root has no parent")
-        return path[:-1]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ from .errors import ParseError
 
 _DELIMS = set("()\";")
 
+# Deepest list nesting a term may have.  The reader and every recursive
+# consumer of its terms (scheme construction, the writer) stays below
+# the interpreter's recursion limit at this depth.
+MAX_DEPTH = 200
+
 
 class QuotedString(str):
     """Atom written with double quotes, as opposed to a bare symbol."""
@@ -102,12 +107,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _parse(tokens: list[_Token], pos: int) -> tuple[Term, int]:
+def _parse(tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Term, int]:
     tok = tokens[pos]
     if tok.kind == "atom":
         return tok.value, pos + 1
     if tok.kind == ")":
         raise ParseError("unexpected ')'", tok.line, tok.column)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"terms nest deeper than {MAX_DEPTH} levels", tok.line, tok.column)
     items: list[Term] = []
     pos += 1
     while True:
@@ -115,7 +122,7 @@ def _parse(tokens: list[_Token], pos: int) -> tuple[Term, int]:
             raise ParseError("missing ')' before end of input", tok.line, tok.column)
         if tokens[pos].kind == ")":
             return items, pos + 1
-        item, pos = _parse(tokens, pos)
+        item, pos = _parse(tokens, pos, depth + 1)
         items.append(item)
 
 

@@ -1,7 +1,11 @@
 """End-to-end CLI behaviour: output, formats, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import emphase
 from emphase import sexpr
 from emphase.cli import main
 from emphase.pipeline import Config
@@ -298,6 +302,65 @@ def test_check_reports_overlapping_process_rules(capsys, tmp_path):
     assert code == 1
     assert "process-type rules are not disjoint" in out
     assert "process rules: disjoint over the atlas" not in out
+
+
+def _ambiguous_bundle(tmp_path) -> list[str]:
+    """A second process rule that overlaps directed-action."""
+    process = tmp_path / "ambiguous.process"
+    process.write_text(
+        Path(data_path("rules", "change-of-possession.process")).read_text()
+        + "(process-rule directed-action-too (unblocked goal))\n"
+    )
+    um = tmp_path / "ambiguous.um"
+    um.write_text(
+        Path(data_path("upper-model.um")).read_text()
+        + "(um-type directed-action-too action)\n"
+    )
+    return ["--process", str(process), "--um", str(um)]
+
+
+def test_forms_marks_ambiguous_forms(capsys, tmp_path):
+    _, shipped, _ = run(capsys, "forms")
+    code, out, err = run(capsys, "forms", *_ambiguous_bundle(tmp_path))
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert "  process: ambiguous" in lines
+    assert any(line.startswith("  process: dispositive-material-action") for line in lines)
+    assert lines[-1] == shipped.splitlines()[-1]
+    # only the process lines differ from the shipped atlas
+    assert [l for l in lines if "process:" not in l] == [
+        l for l in shipped.splitlines() if "process:" not in l
+    ]
+
+
+def test_forms_structured_marks_ambiguous_forms(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "forms", "--format", "structured", *_ambiguous_bundle(tmp_path)
+    )
+    assert code == 0
+    terms = [sexpr.read(line) for line in out.splitlines()]
+    assert any(["process", "ambiguous"] in term for term in terms)
+    assert terms[-1][0] == "count"
+
+
+def test_deeply_nested_binding_fails_cleanly(tmp_path):
+    deep = tmp_path / "deep.binding"
+    deep.write_text("(" * 3000 + ")" * 3000)
+    src = str(Path(emphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "emphase.cli", "generate", "--verb", "schicken",
+         "--bindings", str(deep)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("emphase: error [binding]: ")
+    assert "deeper than" in lines[0]
 
 
 def test_bad_utf8_binding_is_input_error(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """Emphasis enumeration, blocking checks, and case assignment."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emphase.emphasis as emphasis_module
 from emphase.emphasis import (
     BLOCKED,
     BlockingSet,
@@ -15,11 +17,17 @@ from emphase.emphasis import (
     assign_cases,
     check_blocking,
     check_emphasis,
+    direct_cases,
     emphatic_variables,
     enumerate_emphasis,
     enumerate_semantic_forms,
 )
-from emphase.errors import MissingObliqueError, NoNominativeError
+from emphase.errors import (
+    CaseAssignmentError,
+    MissingObliqueError,
+    NoNominativeError,
+    SchemeError,
+)
 from emphase.scheme import parse_field
 
 from bruteforce import (
@@ -122,6 +130,32 @@ def test_fully_blocked_chain_reported(field):
     assert check_blocking(field.scheme, emphasis, blocking) == [(1, 1, 0, 0)]
 
 
+def test_check_blocking_reports_in_path_order(field):
+    emphasis = EmphasisAssignment(ACT | CHAIN_LOSE)
+    blocking = BlockingSet(frozenset(field.scheme.variables))
+    assert check_blocking(field.scheme, emphasis, blocking) == [(0,), (1, 1, 0, 0)]
+
+
+def test_check_blocking_rejects_path_outside_scheme(field):
+    emphasis = EmphasisAssignment(ACT | frozenset({(1, 7)}))
+    with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
+        check_blocking(field.scheme, emphasis, BlockingSet(frozenset()))
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ((2,), "path [2] out of range at index 0"),
+        ((0, 0), "path [0, 0] out of range at index 1"),
+        ((1, 1, 0, 0, 0), "path [1, 1, 0, 0, 0] out of range at index 4"),
+        ((-1,), "path [-1] out of range at index 0"),
+    ],
+)
+def test_node_at_out_of_range_message(field, path, message):
+    with pytest.raises(SchemeError, match=re.escape(message) + "$"):
+        field.scheme.node_at(path)
+
+
 # ---------------------------------------------------------------------------
 # Case assignment
 
@@ -183,6 +217,19 @@ def test_missing_oblique_entry(bundle):
         )
 
 
+def test_direct_cases_follow_the_priority_orders(bundle):
+    # from-obj is in the accusative order only
+    assigned = direct_cases(bundle.case_frame, ["a", "a4"], bundle.priority)
+    assert assigned == {
+        "a": DirectCase(Case.NOMINATIVE),
+        "a4": DirectCase(Case.ACCUSATIVE),
+    }
+    with pytest.raises(NoNominativeError):
+        direct_cases(bundle.case_frame, ["a2"], bundle.priority)
+    with pytest.raises(CaseAssignmentError):
+        direct_cases(bundle.case_frame, ["a", "a1", "a2", "a3", "a4"], bundle.priority)
+
+
 def test_assignment_deterministic(bundle):
     assert _assign(bundle, "schicken-dative") == _assign(bundle, "schicken-dative")
 
@@ -210,6 +257,54 @@ def test_candidate_space_is_4_by_32(atlas):
     assert (
         len(atlas.forms) + atlas.rejected_blocking + atlas.rejected_assignment
         == 4 * 2**5
+    )
+
+
+def _counting_check_blocking(monkeypatch) -> list:
+    calls = []
+    original = emphasis_module.check_blocking
+
+    def counting(scheme, emphasis, blocking):
+        calls.append((emphasis, blocking))
+        return original(scheme, emphasis, blocking)
+
+    monkeypatch.setattr(emphasis_module, "check_blocking", counting)
+    return calls
+
+
+def test_check_blocking_once_per_pair(bundle, monkeypatch):
+    calls = _counting_check_blocking(monkeypatch)
+    fd = bundle.field
+    enumeration = enumerate_semantic_forms(
+        fd, bundle.case_frame, bundle.oblique_table, bundle.priority
+    )
+    pairs = len(enumerate_emphasis(fd)) * 2 ** len(fd.scheme.variables)
+    assert len(calls) == len(set(calls)) == pairs
+    assert (
+        len(enumeration.forms) + enumeration.rejected_blocking
+        + enumeration.rejected_assignment
+        == pairs
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_every_pair_accounted_for_on_random_fields(seed, monkeypatch):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng)
+    fd = random_field(rng, scheme)
+    from emphase.roles import derive_case_frame
+
+    frame = derive_case_frame(scheme, random_table(rng, scheme))
+    calls = _counting_check_blocking(monkeypatch)
+    enumeration = enumerate_semantic_forms(
+        fd, frame, random_oblique(rng, frame), random_priority(rng)
+    )
+    pairs = len(enumerate_emphasis(fd)) * 2 ** len(scheme.variables)
+    assert len(calls) == pairs
+    assert (
+        len(enumeration.forms) + enumeration.rejected_blocking
+        + enumeration.rejected_assignment
+        == pairs
     )
 
 

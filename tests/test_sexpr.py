@@ -20,6 +20,17 @@ def test_reads_atoms_and_nesting():
     assert sexpr.read("(a (b 1) ?x)") == ["a", ["b", 1], "?x"]
 
 
+def test_nesting_depth_is_bounded():
+    limit = sexpr.MAX_DEPTH
+    nested: list = []
+    for _ in range(limit - 1):
+        nested = [nested]
+    assert sexpr.read("(" * limit + ")" * limit) == nested
+    with pytest.raises(ParseError, match="deeper than") as info:
+        sexpr.read_all("x\n " + "(" * (limit + 1) + ")" * (limit + 1))
+    assert (info.value.line, info.value.column) == (2, limit + 2)
+
+
 def test_whitespace_and_comments_ignored():
     text = """
     ; leading comment
