@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import sexpr
-from .errors import FocusConflictError, HyperthemeError, ParseError
+from .errors import FocusConflictError, HyperthemeError
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,17 @@ def parse_script(text: str) -> list[SentenceUpdate]:
     terms, one context sentence each."""
     updates: list[SentenceUpdate] = []
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or term[0] != "sentence":
-            raise ParseError("script lines are (sentence ...) terms")
+        _, args = sexpr.clause(term, "a script line", {"sentence": (0, None)})
         mentions: tuple[str, ...] = ()
         hypertheme = None
-        for clause in term[1:]:
-            if not isinstance(clause, list) or not clause:
-                raise ParseError("sentence clauses are parenthesized terms")
-            if clause[0] == "mentions":
-                if not all(isinstance(r, str) for r in clause[1:]):
-                    raise ParseError("(mentions ...) takes referent symbols")
-                mentions = tuple(clause[1:])
-            elif clause[0] == "hypertheme":
-                if len(clause) != 2 or not isinstance(clause[1], str):
-                    raise ParseError("(hypertheme <referent>)")
-                hypertheme = clause[1]
+        for clause in args:
+            head, rest = sexpr.clause(
+                clause, "a sentence clause", {"mentions": (0, None), "hypertheme": (1, 1)}
+            )
+            if head == "mentions":
+                mentions = tuple(sexpr.symbol(r, "a mentioned referent") for r in rest)
             else:
-                raise ParseError(f"unknown sentence clause {clause[0]!r}")
+                hypertheme = sexpr.symbol(rest[0], "the hypertheme")
         updates.append(SentenceUpdate(mentions, hypertheme))
     return updates
 

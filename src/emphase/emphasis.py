@@ -37,7 +37,6 @@ from .errors import (
 )
 from .roles import CaseFrame, Role
 from .scheme import FieldDefinition, NodePath, Scheme
-from .sexpr import QuotedString
 
 
 class Case(Enum):
@@ -45,6 +44,9 @@ class Case(Enum):
     GENITIVE = "genitive"
     DATIVE = "dative"
     ACCUSATIVE = "accusative"
+
+
+CASES = {case.value: case for case in Case}  # symbol -> case, for the data files
 
 
 @dataclass(frozen=True)
@@ -454,38 +456,35 @@ def parse_oblique_table(text: str) -> ObliqueTable:
     """Parse ``(oblique (label anchor) "prep" case)`` entries."""
     entries: dict[Role, tuple[str, Case]] = {}
     for term in sexpr.read_all(text):
-        if (
-            not isinstance(term, list)
-            or len(term) != 4
-            or term[0] != "oblique"
-            or not isinstance(term[1], list)
-            or len(term[1]) != 2
-        ):
-            raise ParseError('oblique entries look like (oblique (label anchor) "prep" case)')
-        role = Role(term[1][0], term[1][1])
+        _, (role, preposition, case) = sexpr.clause(
+            term, "an oblique entry", {"oblique": (3, 3)}
+        )
+        label, anchor = sexpr.clause(role, "a (label anchor) role", (1, 1))
+        role = Role(label, sexpr.symbol(anchor[0], "a role anchor"))
         if role in entries:
             raise ParseError(f"duplicate oblique entry for {role}")
-        if not isinstance(term[2], QuotedString):
-            raise ParseError("the preposition must be a quoted string")
-        entries[role] = (str(term[2]), _case_from(term[3]))
+        entries[role] = (
+            sexpr.string(preposition, "the preposition"),
+            sexpr.lookup(case, "the governed case", CASES),
+        )
     return ObliqueTable(entries)
+
+
+_ORDERS = {
+    "nominative-order": (0, None),
+    "dative-order": (0, None),
+    "accusative-order": (0, None),
+}
 
 
 def parse_case_priority(text: str) -> CasePriority:
     """Parse the nominative/dative/accusative label orders."""
     orders: dict[str, tuple[str, ...]] = {}
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or not isinstance(term[0], str):
-            raise ParseError("case-priority entries are parenthesized terms")
-        head = term[0]
-        if head not in ("nominative-order", "dative-order", "accusative-order"):
-            raise ParseError(f"unknown case-priority entry {head!r}")
+        head, args = sexpr.clause(term, "a case-priority entry", _ORDERS)
         if head in orders:
             raise ParseError(f"duplicate {head} entry")
-        labels = tuple(str(x) for x in term[1:])
-        if not all(isinstance(x, str) and not isinstance(x, QuotedString) for x in term[1:]):
-            raise ParseError(f"{head} takes role labels")
-        orders[head] = labels
+        orders[head] = tuple(sexpr.symbol(x, f"a role label of ({head} ...)") for x in args)
     if "nominative-order" not in orders:
         raise ParseError("case-priority data must define (nominative-order ...)")
     return CasePriority(
@@ -493,11 +492,3 @@ def parse_case_priority(text: str) -> CasePriority:
         dative=orders.get("dative-order", ()),
         accusative=orders.get("accusative-order", ()),
     )
-
-
-def _case_from(term) -> Case:
-    if isinstance(term, str) and not isinstance(term, QuotedString):
-        for case in Case:
-            if case.value == term:
-                return case
-    raise ParseError(f"unknown grammatical case {term!r}")

@@ -23,7 +23,6 @@ from .emphasis import (
     EmphasisAssignment,
     SemanticForm,
     check_emphasis,
-    emphatic_variables,
 )
 from .errors import (
     AmbiguousProcessError,
@@ -32,9 +31,7 @@ from .errors import (
     SchemeError,
     UnclassifiedFormError,
 )
-from .roles import CaseFrame, Role
 from .scheme import FieldDefinition
-from .sexpr import QuotedString
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class VerbEntry:
     present_3sg: str
     prefix: str | None = None
     declared_um: str | None = None
-    oblique_roles: frozenset[Role] = frozenset()
 
     def matches(self, form: SemanticForm) -> bool:
         return (
@@ -64,71 +60,55 @@ def match_verbs(form: SemanticForm, entries: list[VerbEntry]) -> list[VerbEntry]
     return [e for e in entries if e.matches(form)]
 
 
-def parse_lexicon(
-    text: str, field: FieldDefinition, case_frame: CaseFrame
-) -> list[VerbEntry]:
+_VERB_CLAUSES = {
+    "field": (1, 1),
+    "emphasis": (0, None),
+    "blocked": (0, None),
+    "event": (1, 1),
+    "present-3sg": (1, 1),
+    "prefix": (1, 1),
+    "um": (1, 1),
+}
+
+
+def parse_lexicon(text: str, field: FieldDefinition) -> list[VerbEntry]:
     """Parse and validate the verb lexicon against its field."""
     entries: list[VerbEntry] = []
     seen_patterns: set[tuple[EmphasisAssignment, BlockingSet]] = set()
     variables = set(field.scheme.variables)
 
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or term[0] != "verb":
-            raise ParseError("lexicon entries are (verb ...) terms")
-        if len(term) < 2 or not isinstance(term[1], QuotedString) or not term[1]:
+        _, args = sexpr.clause(term, "a lexicon entry", {"verb": (1, None)})
+        lemma = sexpr.string(args[0], "a verb lemma")
+        if not lemma:
             raise ParseError("a verb entry starts with its quoted lemma")
-        lemma = str(term[1])
 
-        field_name = None
-        emphasis = None
-        blocked: frozenset[str] | None = None
-        event = None
-        present = None
-        prefix = None
-        declared_um = None
-        for clause in term[2:]:
-            if not isinstance(clause, list) or not clause or not isinstance(clause[0], str):
-                raise ParseError(f"bad clause in verb {lemma!r}")
-            head = clause[0]
+        values: dict[str, object] = {}
+        for clause in args[1:]:
+            head, rest = sexpr.clause(clause, f"a clause of verb {lemma!r}", _VERB_CLAUSES)
+            slot = f"the ({head} ...) of verb {lemma!r}"
             if head == "emphasis":
-                paths = []
-                for p in clause[1:]:
-                    if not isinstance(p, list) or not all(isinstance(i, int) for i in p):
-                        raise ParseError(
-                            f"(emphasis ...) of {lemma!r} takes node paths"
-                        )
-                    paths.append(tuple(p))
-                emphasis = EmphasisAssignment(frozenset(paths))
+                paths = frozenset(sexpr.path(p, slot) for p in rest)
+                values[head] = EmphasisAssignment(paths)
             elif head == "blocked":
-                blocked = frozenset(
-                    v[1:] for v in clause[1:] if isinstance(v, str) and v.startswith("?")
-                )
-                if len(blocked) != len(clause) - 1:
-                    raise ParseError(f"(blocked ...) of {lemma!r} takes ?variables")
-            elif head in ("field", "event", "present-3sg", "prefix", "um"):
-                if len(clause) != 2:
-                    raise ParseError(f"({head} ...) of {lemma!r} takes one value")
-                if head == "field":
-                    field_name = clause[1]
-                elif head == "event":
-                    event = clause[1]
-                elif head == "present-3sg":
-                    present = str(clause[1])
-                elif head == "prefix":
-                    prefix = str(clause[1])
-                else:
-                    declared_um = clause[1]
+                values[head] = frozenset(sexpr.variable(v, slot) for v in rest)
+                if len(values[head]) != len(rest):
+                    raise ParseError(f"{slot} names a variable twice")
+            elif head in ("present-3sg", "prefix"):
+                values[head] = sexpr.string(rest[0], slot)
             else:
-                raise ParseError(f"unknown verb clause {head!r} in {lemma!r}")
+                values[head] = sexpr.symbol(rest[0], slot)
 
+        field_name = values.get("field")
         if field_name != field.name:
             raise ParseError(
                 f"verb {lemma!r} names field {field_name!r}, expected {field.name!r}"
             )
-        if emphasis is None or blocked is None or event is None or present is None:
+        if not {"emphasis", "blocked", "event", "present-3sg"} <= values.keys():
             raise ParseError(
                 f"verb {lemma!r} needs emphasis, blocked, event and present-3sg clauses"
             )
+        emphasis, blocked = values["emphasis"], values["blocked"]
         problems = check_emphasis(field, emphasis)
         if problems:
             raise SchemeError(
@@ -148,24 +128,16 @@ def parse_lexicon(
                 f"(second is {lemma!r}); patterns are keys"
             )
         seen_patterns.add(pattern)
-
-        emphatic = emphatic_variables(field.scheme, emphasis)
-        oblique_roles = frozenset(
-            role
-            for v, role in case_frame.items()
-            if v not in blocked and v not in emphatic
-        )
         entries.append(
             VerbEntry(
                 lemma=lemma,
                 field_name=field.name,
                 emphasis=emphasis,
                 blocking=blocking,
-                event=event,
-                present_3sg=present,
-                prefix=prefix,
-                declared_um=declared_um,
-                oblique_roles=oblique_roles,
+                event=values["event"],
+                present_3sg=values["present-3sg"],
+                prefix=values.get("prefix"),
+                declared_um=values.get("um"),
             )
         )
     return entries
@@ -196,17 +168,11 @@ class UpperModel:
 def parse_upper_model(text: str) -> UpperModel:
     parents: dict[str, str | None] = {}
     for term in sexpr.read_all(text):
-        if (
-            not isinstance(term, list)
-            or len(term) not in (2, 3)
-            or term[0] != "um-type"
-            or not all(isinstance(x, str) for x in term[1:])
-        ):
-            raise ParseError("upper-model entries look like (um-type name parent?)")
-        name = term[1]
+        _, args = sexpr.clause(term, "an upper-model entry", {"um-type": (1, 2)})
+        name, *parent = (sexpr.symbol(x, "an upper-model type") for x in args)
         if name in parents:
             raise ParseError(f"duplicate upper-model type {name!r}")
-        parents[name] = term[2] if len(term) == 3 else None
+        parents[name] = parent[0] if parent else None
     for name, parent in parents.items():
         if parent is not None and parent not in parents:
             raise ParseError(f"upper-model type {name!r} has unknown parent {parent!r}")
@@ -294,41 +260,40 @@ class ProcessSelection:
         return None
 
 
+_CONDITIONS = {
+    "emphatic": (1, 1),
+    "blocked": (1, 1),
+    "unblocked": (1, 1),
+    "and": (0, None),
+    "or": (0, None),
+    "not": (1, 1),
+}
+
+
 def _build_condition(term) -> Condition:
-    if not isinstance(term, list) or not term or not isinstance(term[0], str):
-        raise ParseError("conditions are parenthesized terms")
-    head = term[0]
-    if head in ("emphatic", "blocked", "unblocked"):
-        if len(term) != 2 or not isinstance(term[1], str):
-            raise ParseError(f"({head} <role-label>)")
-        return RoleTest(head, term[1])
+    head, args = sexpr.clause(term, "a condition", _CONDITIONS)
     if head == "and":
-        return AllOf(tuple(_build_condition(t) for t in term[1:]))
+        return AllOf(tuple(_build_condition(t) for t in args))
     if head == "or":
-        return AnyOf(tuple(_build_condition(t) for t in term[1:]))
+        return AnyOf(tuple(_build_condition(t) for t in args))
     if head == "not":
-        if len(term) != 2:
-            raise ParseError("(not <condition>)")
-        return Negation(_build_condition(term[1]))
-    raise ParseError(f"unknown condition {head!r}")
+        return Negation(_build_condition(args[0]))
+    return RoleTest(head, sexpr.symbol(args[0], f"the role label of ({head} ...)"))
 
 
 def parse_process_rules(text: str) -> tuple[list[ProcessRule], list[RoleMapRule]]:
     rules: list[ProcessRule] = []
     role_maps: list[RoleMapRule] = []
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or not isinstance(term[0], str):
-            raise ParseError("process entries are parenthesized terms")
-        if term[0] == "process-rule":
-            if len(term) != 3 or not isinstance(term[1], str):
-                raise ParseError("(process-rule <type> <condition>)")
-            rules.append(ProcessRule(term[1], _build_condition(term[2])))
-        elif term[0] == "role-map":
-            if len(term) < 3 or not all(isinstance(x, str) for x in term[1:]):
-                raise ParseError("(role-map <um-role> <label>...)")
-            role_maps.append(RoleMapRule(term[1], tuple(term[2:])))
+        head, args = sexpr.clause(
+            term, "a process entry", {"process-rule": (2, 2), "role-map": (2, None)}
+        )
+        if head == "process-rule":
+            um_type = sexpr.symbol(args[0], "a process type")
+            rules.append(ProcessRule(um_type, _build_condition(args[1])))
         else:
-            raise ParseError(f"unknown process entry {term[0]!r}")
+            um_role, *labels = (sexpr.symbol(x, "a (role-map ...) symbol") for x in args)
+            role_maps.append(RoleMapRule(um_role, tuple(labels)))
     return rules, role_maps
 
 

@@ -20,6 +20,7 @@ from importlib import resources
 from importlib.abc import Traversable
 from pathlib import Path
 
+from . import sexpr
 from .discourse import DiscourseState, EmphasisQ, decide_emphasis_q, status_of
 from .emphasis import (
     Case,
@@ -37,7 +38,6 @@ from .emphasis import (
     parse_oblique_table,
 )
 from .errors import (
-    EmphaseError,
     FocusConflictError,
     InputError,
     OverlappingRulesError,
@@ -55,12 +55,10 @@ from .lexicon import (
     select_process_type,
 )
 from .realize import (
-    Definiteness,
     MorphTable,
     NPLexicon,
-    NPSpec,
-    PronounEntry,
     inflect_np,
+    np_spec_for,
     parse_morph_table,
     parse_np_lexicon,
     realize,
@@ -180,9 +178,7 @@ class Bundle:
 
     @cached_property
     def verbs(self) -> list[VerbEntry]:
-        return parse_lexicon(
-            read_data(self.config.lexicon_path), self.field, self.case_frame
-        )
+        return parse_lexicon(read_data(self.config.lexicon_path), self.field)
 
     @cached_property
     def np_lexicon(self) -> NPLexicon:
@@ -402,55 +398,47 @@ def check_bundle(bundle: Bundle) -> CheckReport:
         f"({enumeration.rejected_assignment} pairs rejected by case assignment)"
     )
 
-    pattern_index = {
-        (form.emphasis, form.blocking): form for form in enumeration.forms
-    }
-    for entry in bundle.verbs:
-        form = pattern_index.get((entry.emphasis, entry.blocking))
-        if form is None:
-            input_problems.append(
-                f"verb {entry.lemma!r} names a pattern outside the atlas"
+    # each form's process selection, or the rule gap selecting it raised
+    outcomes: dict[tuple, ProcessSelection | RuleGapError] = {}
+    for form in enumeration.forms:
+        try:
+            outcome = select_process_type(
+                form, bundle.process_rules, bundle.role_maps, bundle.upper_model
             )
+        except RuleGapError as err:
+            outcome = err
+        outcomes[form.emphasis, form.blocking] = outcome
+
+    for entry in bundle.verbs:
+        pattern = (
+            ["emphasis"] + [list(p) for p in sorted(entry.emphasis.emphatic)],
+            ["blocked"] + sorted("?" + v for v in entry.blocking.blocked),
+        )
+        name = f"verb {entry.lemma!r} " + " ".join(map(sexpr.write, pattern))
+        outcome = outcomes.get((entry.emphasis, entry.blocking))
+        if outcome is None:
+            input_problems.append(f"{name} names a pattern outside the atlas")
+        elif entry.declared_um is None:
             continue
-        if entry.declared_um is not None:
-            try:
-                selection = select_process_type(
-                    form, bundle.process_rules, bundle.role_maps, bundle.upper_model
-                )
-            except EmphaseError as err:
-                input_problems.append(f"verb {entry.lemma!r}: {err}")
-                continue
-            if selection.um_type != entry.declared_um:
-                input_problems.append(
-                    f"verb {entry.lemma!r} declares {entry.declared_um} but "
-                    f"classifies as {selection.um_type}"
-                )
+        elif isinstance(outcome, RuleGapError):
+            input_problems.append(f"{name}: {outcome}")
+        elif outcome.um_type != entry.declared_um:
+            input_problems.append(
+                f"{name} declares {entry.declared_um} but classifies as {outcome.um_type}"
+            )
     if not input_problems:
         lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
-    ambiguous = 0
-    for form in enumeration.forms:
-        try:
-            select_process_type(
-                form, bundle.process_rules, bundle.role_maps, bundle.upper_model
-            )
-        except OverlappingRulesError as err:
-            ambiguous += 1
-            input_problems.append(str(err))
-        except RuleGapError:
-            pass
-    if not ambiguous:
+    overlaps = [str(o) for o in outcomes.values() if isinstance(o, OverlappingRulesError)]
+    input_problems.extend(overlaps)
+    if not overlaps:
         lines.append("process rules: disjoint over the atlas")
 
     morph_gaps = 0
-    for referent, entry in bundle.np_lexicon.items():
+    for referent in bundle.np_lexicon:
         for case in (Case.NOMINATIVE, Case.DATIVE, Case.ACCUSATIVE):
-            if isinstance(entry, PronounEntry):
-                spec = NPSpec(referent, case, entry.gender, Definiteness.PRONOUN)
-            else:
-                spec = NPSpec(entry.lemma, case, entry.gender, entry.definiteness)
             try:
-                inflect_np(spec, bundle.morph_table)
+                inflect_np(np_spec_for(referent, case, bundle.np_lexicon), bundle.morph_table)
             except RuleGapError as err:
                 morph_gaps += 1
                 rule_gaps.append(str(err))

@@ -20,7 +20,7 @@ from enum import Enum
 
 from . import sexpr
 from .discourse import EmphasisQ
-from .emphasis import Case, Oblique, SemanticForm
+from .emphasis import CASES, Case, Oblique, SemanticForm
 from .errors import (
     InputError,
     MissingMorphologyError,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .lexicon import VerbEntry
 from .scheme import Binding
-from .sexpr import QuotedString
 
 
 class Gender(Enum):
@@ -52,7 +51,6 @@ class NPSpec:
     case: Case
     gender: Gender
     definiteness: Definiteness
-    number: str = "sg"
 
 
 @dataclass(frozen=True)
@@ -167,18 +165,9 @@ def realize(
 # Data files
 
 
-def _gender_from(term) -> Gender:
-    for gender in Gender:
-        if gender.value == term:
-            return gender
-    raise ParseError(f"unknown gender {term!r}")
-
-
-def _case_from(term) -> Case:
-    for case in Case:
-        if case.value == term:
-            return case
-    raise ParseError(f"unknown grammatical case {term!r}")
+_GENDERS = {gender.value: gender for gender in Gender}
+# a noun or an article is definite or not; only pronouns are PRONOUN
+_DEFINITENESS = {"def": Definiteness.DEFINITE, "indef": Definiteness.INDEFINITE}
 
 
 def parse_np_lexicon(text: str) -> NPLexicon:
@@ -186,28 +175,19 @@ def parse_np_lexicon(text: str) -> NPLexicon:
     ``(pronoun referent gender)`` entries."""
     lexicon: NPLexicon = {}
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or not isinstance(term[0], str):
-            raise ParseError("NP lexicon entries are parenthesized terms")
-        if term[0] == "np":
-            if len(term) != 5 or not all(isinstance(x, str) for x in term[1:]):
-                raise ParseError("(np <referent> <lemma> <gender> <definiteness>)")
-            key = term[1]
-            definiteness = {
-                "def": Definiteness.DEFINITE,
-                "indef": Definiteness.INDEFINITE,
-            }.get(term[4])
-            if definiteness is None:
-                raise ParseError(f"noun definiteness must be def or indef, got {term[4]!r}")
+        head, args = sexpr.clause(
+            term, "an NP lexicon entry", {"np": (4, 4), "pronoun": (2, 2)}
+        )
+        key = sexpr.symbol(args[0], "a referent")
+        gender = sexpr.lookup(args[-2 if head == "np" else -1], "a gender", _GENDERS)
+        if head == "np":
             entry: NounEntry | PronounEntry = NounEntry(
-                term[2], _gender_from(term[3]), definiteness
+                sexpr.symbol(args[1], "a noun lemma"),
+                gender,
+                sexpr.lookup(args[3], "a noun definiteness", _DEFINITENESS),
             )
-        elif term[0] == "pronoun":
-            if len(term) != 3 or not all(isinstance(x, str) for x in term[1:]):
-                raise ParseError("(pronoun <referent> <gender>)")
-            key = term[1]
-            entry = PronounEntry(_gender_from(term[2]))
         else:
-            raise ParseError(f"unknown NP lexicon entry {term[0]!r}")
+            entry = PronounEntry(gender)
         if key in lexicon:
             raise ParseError(f"duplicate NP entry for referent {key}")
         lexicon[key] = entry
@@ -220,32 +200,19 @@ def parse_morph_table(text: str) -> MorphTable:
     articles: dict[tuple[Definiteness, Gender, Case], str] = {}
     pronouns: dict[tuple[Gender, Case], str] = {}
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or not isinstance(term[0], str):
-            raise ParseError("morphology entries are parenthesized terms")
-        if term[0] == "article":
-            if len(term) != 5 or not all(
-                isinstance(x, str) and not isinstance(x, QuotedString) for x in term[1:]
-            ):
-                raise ParseError("(article def|indef <gender> <case> <form>)")
-            definiteness = {
-                "def": Definiteness.DEFINITE,
-                "indef": Definiteness.INDEFINITE,
-            }.get(term[1])
-            if definiteness is None:
-                raise ParseError(f"article definiteness must be def or indef, got {term[1]!r}")
-            key = (definiteness, _gender_from(term[2]), _case_from(term[3]))
-            if key in articles:
-                raise ParseError(f"duplicate article row {term[1:4]}")
-            articles[key] = term[4]
-        elif term[0] == "pronoun-form":
-            if len(term) != 4 or not all(
-                isinstance(x, str) and not isinstance(x, QuotedString) for x in term[1:]
-            ):
-                raise ParseError("(pronoun-form <gender> <case> <form>)")
-            pkey = (_gender_from(term[1]), _case_from(term[2]))
-            if pkey in pronouns:
-                raise ParseError(f"duplicate pronoun row {term[1:3]}")
-            pronouns[pkey] = term[3]
-        else:
-            raise ParseError(f"unknown morphology entry {term[0]!r}")
+        head, args = sexpr.clause(
+            term, "a morphology row", {"article": (4, 4), "pronoun-form": (3, 3)}
+        )
+        gender, case, form = args[-3:]
+        key: tuple = (
+            sexpr.lookup(gender, "a gender", _GENDERS),
+            sexpr.lookup(case, "a grammatical case", CASES),
+        )
+        rows: dict = pronouns
+        if head == "article":
+            key = (sexpr.lookup(args[0], "an article definiteness", _DEFINITENESS),) + key
+            rows = articles
+        if key in rows:
+            raise ParseError(f"duplicate morphology row: {sexpr.write(term)}")
+        rows[key] = sexpr.symbol(form, "an inflected form")
     return MorphTable(articles, pronouns)

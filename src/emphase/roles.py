@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from . import sexpr
 from .errors import MissingRuleError, ParseError
 from .scheme import Proposition, Scheme
-from .sexpr import QuotedString
 
 POS = "pos"
 NEG = "neg"
@@ -83,71 +82,55 @@ def apply_rule(table: RoleRuleTable, predicate: str, incoming: Role, polarity: s
     )
 
 
-def derive_case_frame(scheme: Scheme, table: RoleRuleTable) -> CaseFrame:
-    """Maximum case frame of the scheme, one role per variable."""
+def _derive(scheme: Scheme, table: RoleRuleTable) -> tuple[dict, list[MissingRuleError]]:
+    """Role of every variable, and every rule gap in the order the walk
+    meets them; a variable whose walk hits a gap maps to None."""
+    gaps: list[MissingRuleError] = []
 
-    def walk(node: Proposition) -> list[tuple[str, Role, str]]:
-        if node.is_basic:
-            return [
-                (v.name, initial_role(table, node.predicate, i), POS)
-                for i, v in enumerate(node.args, start=1)
-            ]
-        entries: list[tuple[str, Role, str]] = []
-        for child in node.args:
-            for var, role, polarity in walk(child):
-                role = apply_rule(table, node.predicate, role, polarity)
-                if node.predicate in table.flips:
-                    polarity = flip_polarity(polarity)
-                entries.append((var, role, polarity))
-        return entries
-
-    return {var: role for var, role, _ in walk(scheme.root)}
-
-
-def missing_rules(scheme: Scheme, table: RoleRuleTable) -> list[str]:
-    """Every rule gap the scheme would hit, for load-time totality checks."""
-    gaps: list[str] = []
+    def attempt(rule, *args) -> Role | None:
+        try:
+            return rule(table, *args)
+        except MissingRuleError as err:
+            gaps.append(err)
+            return None
 
     def walk(node: Proposition) -> list[tuple[str, Role | None, str]]:
         if node.is_basic:
-            out = []
-            for i, v in enumerate(node.args, start=1):
-                try:
-                    out.append((v.name, initial_role(table, node.predicate, i), POS))
-                except MissingRuleError as err:
-                    gaps.append(str(err))
-                    out.append((v.name, None, POS))
-            return out
+            return [
+                (v.name, attempt(initial_role, node.predicate, i), POS)
+                for i, v in enumerate(node.args, start=1)
+            ]
         entries: list[tuple[str, Role | None, str]] = []
         for child in node.args:
             for var, role, polarity in walk(child):
                 if role is not None:
-                    try:
-                        role = apply_rule(table, node.predicate, role, polarity)
-                    except MissingRuleError as err:
-                        gaps.append(str(err))
-                        role = None
+                    role = attempt(apply_rule, node.predicate, role, polarity)
                 if node.predicate in table.flips:
                     polarity = flip_polarity(polarity)
                 entries.append((var, role, polarity))
         return entries
 
-    walk(scheme.root)
-    return gaps
+    return {var: role for var, role, _ in walk(scheme.root)}, gaps
+
+
+def derive_case_frame(scheme: Scheme, table: RoleRuleTable) -> CaseFrame:
+    """Maximum case frame of the scheme, one role per variable."""
+    frame, gaps = _derive(scheme, table)
+    if gaps:
+        raise gaps[0]
+    return frame
+
+
+def missing_rules(scheme: Scheme, table: RoleRuleTable) -> list[str]:
+    """Every rule gap the scheme would hit, for load-time totality checks."""
+    return [str(err) for err in _derive(scheme, table)[1]]
 
 
 # ---------------------------------------------------------------------------
 # Rule-table file
 
-
-def _role_from(term, what: str) -> Role:
-    if (
-        not isinstance(term, list)
-        or len(term) != 2
-        or not all(isinstance(x, str) and not isinstance(x, QuotedString) for x in term)
-    ):
-        raise ParseError(f"{what} must be a (label anchor) pair")
-    return Role(term[0], term[1])
+_RULES = {"init": (3, 3), "modify": (4, 4), "flip": (1, 1), "identity": (1, 1)}
+_POLARITIES = {POS: POS, NEG: NEG}
 
 
 def parse_rule_table(text: str) -> RoleRuleTable:
@@ -157,34 +140,26 @@ def parse_rule_table(text: str) -> RoleRuleTable:
     identities: set[str] = set()
 
     for term in sexpr.read_all(text):
-        if not isinstance(term, list) or not term or not isinstance(term[0], str):
-            raise ParseError("rule entries are parenthesized terms")
-        head = term[0]
+        head, args = sexpr.clause(term, "a rule entry", _RULES)
+        predicate = sexpr.symbol(args[0], f"the predicate of ({head} ...)")
+        roles = []  # the (label anchor) pairs of init and modify
+        for role in args[2:]:
+            label, anchor = sexpr.clause(role, "a (label anchor) role", (1, 1))
+            roles.append(Role(label, sexpr.symbol(anchor[0], "a role anchor")))
         if head == "init":
-            if len(term) != 4 or not isinstance(term[2], int):
-                raise ParseError("(init <predicate> <position> (label anchor))")
-            key = (term[1], term[2])
+            key = (predicate, sexpr.integer(args[1], "the argument position of (init ...)"))
             if key in initial:
-                raise ParseError(f"duplicate init rule for {key}")
-            initial[key] = _role_from(term[3], "an initial role")
+                raise ParseError(f"duplicate init rule: {sexpr.write(term)}")
+            initial[key] = roles[0]
         elif head == "modify":
-            if len(term) != 5 or term[2] not in (POS, NEG):
-                raise ParseError(
-                    "(modify <predicate> pos|neg (label anchor) (label anchor))"
-                )
-            key = (term[1], term[2], _role_from(term[3], "the incoming role"))
-            if key in modifiers:
-                raise ParseError(f"duplicate modify rule for {key}")
-            modifiers[key] = _role_from(term[4], "the resulting role")
+            polarity = sexpr.lookup(args[1], "the polarity of (modify ...)", _POLARITIES)
+            rule = (predicate, polarity, roles[0])
+            if rule in modifiers:
+                raise ParseError(f"duplicate modify rule: {sexpr.write(term)}")
+            modifiers[rule] = roles[1]
         elif head == "flip":
-            if len(term) != 2:
-                raise ParseError("(flip <predicate>)")
-            flips.add(term[1])
-        elif head == "identity":
-            if len(term) != 2:
-                raise ParseError("(identity <predicate>)")
-            identities.add(term[1])
+            flips.add(predicate)
         else:
-            raise ParseError(f"unknown rule entry {head!r}")
+            identities.add(predicate)
 
     return RoleRuleTable(initial, modifiers, frozenset(flips), frozenset(identities))

@@ -22,7 +22,6 @@ from functools import cached_property
 
 from . import sexpr
 from .errors import ParseError, SchemeError
-from .sexpr import QuotedString
 
 NodePath = tuple[int, ...]
 
@@ -236,119 +235,73 @@ class Violation:
 # Parsing
 
 
-def _expect_symbol(term, what: str) -> str:
-    if not isinstance(term, str) or isinstance(term, QuotedString):
-        raise ParseError(f"expected a symbol for {what}")
-    return term
-
-
-def _variable_name(term, what: str) -> str:
-    sym = _expect_symbol(term, what)
-    if not sym.startswith("?") or len(sym) == 1:
-        raise ParseError(f"expected a ?variable for {what}, got {sym!r}")
-    return sym[1:]
-
-
 def _build_proposition(term) -> Proposition:
-    if not isinstance(term, list) or not term:
-        raise ParseError("a proposition is a non-empty parenthesized term")
-    predicate = _expect_symbol(term[0], "a predicate name")
+    predicate, args = sexpr.clause(term, "a proposition", (0, None))
     if predicate.startswith("?"):
-        raise ParseError(f"predicate name may not be a variable: {predicate!r}")
-    if len(term) == 1:
-        raise SchemeError(f"predicate {predicate!r} has no arguments")
-    args: list[Proposition | Variable] = []
-    for arg in term[1:]:
-        if isinstance(arg, list):
-            args.append(_build_proposition(arg))
-        elif isinstance(arg, str) and not isinstance(arg, QuotedString) and arg.startswith("?"):
-            args.append(Variable(_variable_name(arg, "an elementary argument")))
-        else:
-            raise ParseError(
-                f"argument of {predicate!r} must be a ?variable or a proposition"
-            )
-    return Proposition(predicate, tuple(args))
+        raise ParseError(f"predicate name may not be a variable: {predicate}")
+    return Proposition(
+        predicate,
+        tuple(
+            _build_proposition(arg)
+            if isinstance(arg, list)
+            else Variable(sexpr.variable(arg, f"an argument of {predicate}"))
+            for arg in args
+        ),
+    )
 
 
-def _path_from(term, what: str) -> NodePath:
-    if not isinstance(term, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in term
-    ):
-        raise ParseError(f"{what} must be a list of child indices")
-    return tuple(term)
+_FIELD_CLAUSES = {
+    "scheme": (1, 1),
+    "emphasis-start": (1, 1),
+    "coref": (0, None),
+    "optional-branch": (0, None),
+}
+
+_CONSTRAINTS = {"=": (2, 2), "distinct": (2, 2), "one-of": (1, None)}
 
 
-def _build_constraint(term) -> Constraint:
-    if not isinstance(term, list) or not term:
-        raise ParseError("a coref constraint is a parenthesized term")
-    head = _expect_symbol(term[0], "a constraint kind")
-    if head == "=":
-        if len(term) != 3:
-            raise ParseError("(= ?v ?w) takes exactly two variables")
-        return Equal(_variable_name(term[1], "="), _variable_name(term[2], "="))
-    if head == "distinct":
-        if len(term) != 3:
-            raise ParseError("(distinct ?v ?w) takes exactly two variables")
-        return Distinct(
-            _variable_name(term[1], "distinct"), _variable_name(term[2], "distinct")
-        )
+def _build_constraint(term, slot: str, arities: dict) -> Constraint:
+    head, args = sexpr.clause(term, slot, arities)
     if head == "one-of":
-        options = []
-        for sub in term[1:]:
-            built = _build_constraint(sub)
-            if not isinstance(built, Equal):
-                raise ParseError("(one-of ...) takes only (= ...) options")
-            options.append(built)
-        if not options:
-            raise ParseError("(one-of ...) needs at least one option")
-        return OneOf(tuple(options))
-    raise ParseError(f"unknown constraint kind {head!r}")
+        return OneOf(
+            tuple(_build_constraint(t, "a one-of option", {"=": (2, 2)}) for t in args)
+        )
+    left, right = (sexpr.variable(a, f"a variable of ({head} ...)") for a in args)
+    return Equal(left, right) if head == "=" else Distinct(left, right)
 
 
 def parse_field(text: str) -> FieldDefinition:
     """Parse a field definition file and verify its invariants."""
-    term = sexpr.read(text)
-    if not isinstance(term, list) or not term or term[0] != "field":
-        raise ParseError("a field file contains one (field ...) term")
-    if len(term) < 2:
-        raise ParseError("(field ...) needs a name")
-    name = _expect_symbol(term[1], "the field name")
+    _, args = sexpr.clause(sexpr.read(text), "a field file", {"field": (1, None)})
+    name = sexpr.symbol(args[0], "the field name")
 
-    scheme_term = None
-    start_term = None
+    single: dict[str, object] = {}  # the scheme and emphasis-start terms
     coref_terms: list = []
-    branch_terms: list[NodePath] | None = None
-    for clause in term[2:]:
-        if not isinstance(clause, list) or not clause:
-            raise ParseError("field clauses are parenthesized terms")
-        head = _expect_symbol(clause[0], "a clause name")
-        if head == "scheme":
-            if scheme_term is not None or len(clause) != 2:
-                raise ParseError("exactly one (scheme <proposition>) clause")
-            scheme_term = clause[1]
-        elif head == "emphasis-start":
-            if start_term is not None or len(clause) != 2:
-                raise ParseError("exactly one (emphasis-start (<indices>)) clause")
-            start_term = clause[1]
-        elif head == "coref":
-            coref_terms.extend(clause[1:])
+    branches: tuple[NodePath, ...] | None = None
+    for term in args[1:]:
+        head, rest = sexpr.clause(term, "a field clause", _FIELD_CLAUSES)
+        if head == "coref":
+            coref_terms.extend(rest)
         elif head == "optional-branch":
-            branch_terms = [_path_from(p, "an optional branch") for p in clause[1:]]
+            branches = tuple(sexpr.path(p, "an optional branch") for p in rest)
+        elif head in single:
+            raise ParseError(f"exactly one ({head} ...) clause")
         else:
-            raise ParseError(f"unknown field clause {head!r}")
-    if scheme_term is None:
-        raise ParseError("field is missing its (scheme ...) clause")
-    if start_term is None:
-        raise ParseError("field is missing its (emphasis-start ...) clause")
+            single[head] = rest[0]
+    for head in ("scheme", "emphasis-start"):
+        if head not in single:
+            raise ParseError(f"field is missing its ({head} ...) clause")
 
-    scheme = Scheme(_build_proposition(scheme_term))
-    start = _path_from(start_term, "emphasis-start")
+    scheme = Scheme(_build_proposition(single["scheme"]))
+    start = sexpr.path(single["emphasis-start"], "emphasis-start")
     try:
         scheme.node_at(start)
     except SchemeError:
         raise SchemeError(f"emphasis-start path {list(start)} out of range") from None
 
-    constraints = tuple(_build_constraint(t) for t in coref_terms)
+    constraints = tuple(
+        _build_constraint(t, "a coref constraint", _CONSTRAINTS) for t in coref_terms
+    )
     known = set(scheme.variables)
     for c in constraints:
         names = (
@@ -360,10 +313,9 @@ def parse_field(text: str) -> FieldDefinition:
             if v not in known:
                 raise SchemeError(f"coref constraint mentions unknown variable ?{v}")
 
-    if branch_terms is None:
+    if branches is None:
         branches = _default_branches(scheme, start)
     else:
-        branches = tuple(branch_terms)
         for b in branches:
             scheme.node_at(b)
             if b == start:
@@ -414,31 +366,19 @@ def print_field(fd: FieldDefinition) -> str:
 
 def parse_binding(text: str) -> Binding:
     """Parse ``(binding (ref ?var referent sort) ...)``."""
-    term = sexpr.read(text)
-    if not isinstance(term, list) or not term or term[0] != "binding":
-        raise ParseError("a binding file contains one (binding ...) term")
+    _, args = sexpr.clause(sexpr.read(text), "a binding file", {"binding": (0, None)})
     entries: list[tuple[str, Referent]] = []
     seen: set[str] = set()
-    for clause in term[1:]:
-        if (
-            not isinstance(clause, list)
-            or len(clause) != 4
-            or clause[0] != "ref"
-        ):
-            raise ParseError("binding entries look like (ref ?var referent sort)")
-        var = _variable_name(clause[1], "a binding entry")
+    for term in args:
+        _, (var, name, sort) = sexpr.clause(term, "a binding entry", {"ref": (3, 3)})
+        var = sexpr.variable(var, "the variable of a binding entry")
         if var in seen:
             raise ParseError(f"variable ?{var} bound twice")
         seen.add(var)
-        entries.append(
-            (
-                var,
-                Referent(
-                    _expect_symbol(clause[2], "a referent name"),
-                    _expect_symbol(clause[3], "a referent sort"),
-                ),
-            )
+        referent = Referent(
+            sexpr.symbol(name, "a referent name"), sexpr.symbol(sort, "a referent sort")
         )
+        entries.append((var, referent))
     return Binding(tuple(entries))
 
 

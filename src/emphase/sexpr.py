@@ -7,11 +7,20 @@ symbols, integers, or double-quoted strings.  ``;`` starts a comment
 that runs to end of line.  Input is whitespace-insensitive; the writer
 emits the canonical form (one space between tokens, no trailing
 whitespace), so equal values always print byte-identically.
+
+The data-file parsers read each slot of a term through the accessors at
+the end of this module, so the kind of term a slot takes, and the error
+for any other, is decided here.
 """
 
 from __future__ import annotations
 
+import re
+from typing import TypeVar
+
 from .errors import ParseError
+
+T = TypeVar("T")
 
 _DELIMS = set("()\";")
 
@@ -34,95 +43,63 @@ class QuotedString(str):
 Term = int | str | list
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+# One alternative per token kind; together they match every character.
+_TOKENS = re.compile(
+    r"(\s+|;[^\n]*)"  # whitespace (str.isspace) or a comment
+    r"|([()])"
+    r'|"((?:[^"\\]|\\.)*)"'  # a quoted string's body
+    r'|([^\s()";]+)'  # a bare word
+    r'|(")',  # a string that is never closed
+    re.S,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
-    def __init__(self, kind: str, value, line: int, column: int):
-        self.kind = kind  # "(" | ")" | "atom"
-        self.value = value
-        self.line = line
-        self.column = column
+# A token is (kind, value, offset) with kind "(", ")" or "atom".
+_Token = tuple[str, Term, int]
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(ch: str):
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, ch, line, col))
-            advance(ch)
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            advance(ch)
-            i += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                ch = text[i]
-                if ch == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    advance(ch)
-                    advance(text[i + 1])
-                    i += 2
-                elif ch == '"':
-                    advance(ch)
-                    i += 1
-                    break
-                else:
-                    buf.append(ch)
-                    advance(ch)
-                    i += 1
-            tokens.append(_Token("atom", QuotedString("".join(buf)), start_line, start_col))
-        else:
-            start_line, start_col = line, col
-            buf = []
-            while i < n and text[i] not in " \t\r\n" and text[i] not in _DELIMS:
-                buf.append(text[i])
-                advance(text[i])
-                i += 1
-            word = "".join(buf)
+    for match in _TOKENS.finditer(text):
+        _space, paren, string, word, unclosed = match.groups()
+        if paren:
+            tokens.append((paren, paren, match.start()))
+        elif string is not None:
+            tokens.append(("atom", QuotedString(_ESCAPE.sub(r"\1", string)), match.start()))
+        elif word:
             atom: Term = word
-            if word.lstrip("-").isdigit() and word.lstrip("-"):
-                atom = int(word)
-            tokens.append(_Token("atom", atom, start_line, start_col))
+            if _is_int(word):
+                try:
+                    atom = int(word)
+                except ValueError:  # more digits than int() converts
+                    raise _error(text, match.start(), "integer too long") from None
+            tokens.append(("atom", atom, match.start()))
+        elif unclosed:
+            raise _error(text, match.start(), "unterminated string")
     return tokens
 
 
-def _parse(tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Term, int]:
-    tok = tokens[pos]
-    if tok.kind == "atom":
-        return tok.value, pos + 1
-    if tok.kind == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.column)
+def _parse(text: str, tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Term, int]:
+    kind, value, offset = tokens[pos]
+    if kind == "atom":
+        return value, pos + 1
+    if kind == ")":
+        raise _error(text, offset, "unexpected ')'")
     if depth > MAX_DEPTH:
-        raise ParseError(f"terms nest deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+        raise _error(text, offset, f"terms nest deeper than {MAX_DEPTH} levels")
     items: list[Term] = []
     pos += 1
     while True:
         if pos >= len(tokens):
-            raise ParseError("missing ')' before end of input", tok.line, tok.column)
-        if tokens[pos].kind == ")":
+            raise _error(text, offset, "missing ')' before end of input")
+        if tokens[pos][0] == ")":
             return items, pos + 1
-        item, pos = _parse(tokens, pos, depth + 1)
+        item, pos = _parse(text, tokens, pos, depth + 1)
         items.append(item)
 
 
@@ -131,10 +108,9 @@ def read(text: str) -> Term:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    term, pos = _parse(tokens, 0)
+    term, pos = _parse(text, tokens, 0)
     if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing material after term", extra.line, extra.column)
+        raise _error(text, tokens[pos][2], "trailing material after term")
     return term
 
 
@@ -144,16 +120,20 @@ def read_all(text: str) -> list[Term]:
     terms: list[Term] = []
     pos = 0
     while pos < len(tokens):
-        term, pos = _parse(tokens, pos)
+        term, pos = _parse(text, tokens, pos)
         terms.append(term)
     return terms
 
 
+def _is_int(word: str) -> bool:
+    """An integer literal: ASCII digits with at most one leading ``-``."""
+    digits = word.removeprefix("-")
+    return digits.isdigit() and digits.isascii()
+
+
 def _symbol_ok(word: str) -> bool:
-    if not (_DELIMS.isdisjoint(word) and word.split() == [word]):
-        return False
     # A symbol that would read back as an integer must not be written bare.
-    return not (word.lstrip("-").isdigit() and word.lstrip("-"))
+    return _DELIMS.isdisjoint(word) and word.split() == [word] and not _is_int(word)
 
 
 def write(term: Term) -> str:
@@ -172,3 +152,87 @@ def write(term: Term) -> str:
     if isinstance(term, (list, tuple)):
         return "(" + " ".join(write(item) for item in term) + ")"
     raise ValueError(f"not a term: {term!r}")
+
+
+# ---------------------------------------------------------------------------
+# Term shapes
+#
+# Each accessor takes a term and a name for the slot it fills, and either
+# returns the value or raises ParseError naming the slot and showing the
+# term as written, on one line.
+
+
+def _wrong(term: Term, slot: str, expected: str) -> ParseError:
+    shown = " ".join(write(term).splitlines())  # one line, even for a quoted newline
+    return ParseError(f"{slot} must be {expected}, got {shown}")
+
+
+def symbol(term: Term, slot: str) -> str:
+    """A bare symbol."""
+    if type(term) is str:
+        return term
+    raise _wrong(term, slot, "a symbol")
+
+
+def string(term: Term, slot: str) -> str:
+    """The text of a quoted string."""
+    if isinstance(term, QuotedString):
+        return str(term)
+    raise _wrong(term, slot, "a quoted string")
+
+
+def integer(term: Term, slot: str) -> int:
+    """An integer."""
+    if type(term) is int:
+        return term
+    raise _wrong(term, slot, "an integer")
+
+
+def variable(term: Term, slot: str) -> str:
+    """The name of a ``?variable``; the name is itself a symbol."""
+    if type(term) is str and term[:1] == "?" and _symbol_ok(term[1:]):
+        return term[1:]
+    raise _wrong(term, slot, "a ?variable")
+
+
+def path(term: Term, slot: str) -> tuple[int, ...]:
+    """A node path: a list of child indices."""
+    if type(term) is list and all(type(i) is int for i in term):
+        return tuple(term)
+    raise _wrong(term, slot, "a list of child indices")
+
+
+def lookup(term: Term, slot: str, table: dict[str, T]) -> T:
+    """The value ``table`` gives the symbol."""
+    if type(term) is str and term in table:
+        return table[term]
+    raise _wrong(term, slot, "|".join(table))
+
+
+Arity = tuple[int, int | None]  # least and most argument count (None: no limit)
+
+
+def clause(
+    term: Term, slot: str, arities: dict[str, Arity] | Arity
+) -> tuple[str, list]:
+    """Head and arguments of a non-empty list with a symbol head.
+
+    ``arities`` maps each allowed head to its arity, or is one arity for
+    any head.
+    """
+    if type(term) is not list or not term or type(term[0]) is not str:
+        raise _wrong(term, slot, "a parenthesized term with a symbol head")
+    head, args = term[0], term[1:]
+    if isinstance(arities, dict):
+        if head not in arities:
+            raise _wrong(term, slot, " or ".join(f"({h} ...)" for h in arities))
+        arities = arities[head]
+    least, most = arities
+    if len(args) < least or (most is not None and len(args) > most):
+        count = (
+            str(least) if most == least
+            else f"at least {least}" if most is None
+            else f"{least} to {most}"
+        )
+        raise _wrong(term, slot, f"({head} ...) with {count} argument(s)")
+    return head, args

@@ -20,7 +20,6 @@ from .discourse import EmphasisQ
 from .errors import ParseError, UnverbalizedRoleError
 from .lexicon import ProcessSelection, VerbEntry
 from .scheme import Binding
-from .sexpr import QuotedString
 
 RECIPIENT_ROLE = "recipient"
 
@@ -92,32 +91,22 @@ def serialize_spl(term: SplTerm) -> str:
 
 
 def _term_from_sexpr(value) -> SplTerm:
-    if (
-        not isinstance(value, list)
-        or len(value) < 3
-        or value[1] != "/"
-        or not isinstance(value[0], str)
-        or not isinstance(value[2], str)
-        or isinstance(value[0], QuotedString)
-        or isinstance(value[2], QuotedString)
-    ):
-        raise ParseError("a plan term looks like (head / type :slot filler ...)")
-    rest = value[3:]
+    head, args = sexpr.clause(value, "a plan term", (2, None))
+    sexpr.lookup(args[0], "the separator of a plan term", {"/": "/"})
+    um_type = sexpr.symbol(args[1], "the type of a plan term")
+    rest = args[2:]
     if len(rest) % 2 != 0:
         raise ParseError("plan slots come in :keyword filler pairs")
     slots: list[tuple[str, SplTerm | str]] = []
-    for i in range(0, len(rest), 2):
-        keyword = rest[i]
-        if not isinstance(keyword, str) or not keyword.startswith(":"):
-            raise ParseError(f"expected a :keyword, got {keyword!r}")
-        filler = rest[i + 1]
+    for keyword, filler in zip(rest[::2], rest[1::2]):
+        keyword = sexpr.symbol(keyword, "a plan slot keyword")
+        if not keyword.startswith(":"):
+            raise ParseError(f"expected a :keyword, got {keyword}")
         if isinstance(filler, list):
             slots.append((keyword, _term_from_sexpr(filler)))
-        elif isinstance(filler, str) and not isinstance(filler, QuotedString):
-            slots.append((keyword, filler))
         else:
-            raise ParseError(f"bad filler for {keyword}: {filler!r}")
-    return SplTerm(value[0], value[2], tuple(slots))
+            slots.append((keyword, sexpr.symbol(filler, f"the filler of {keyword}")))
+    return SplTerm(head, um_type, tuple(slots))
 
 
 def parse_spl(text: str) -> SplTerm:

@@ -1,14 +1,23 @@
 """End-to-end CLI behaviour: output, formats, exit codes."""
 
+import contextlib
+import copy
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import emphase
 from emphase import sexpr
 from emphase.cli import main
 from emphase.pipeline import Config
+
+from bruteforce import random_term
 
 SPL_DATIVE = (
     "(send / directed-action :actor (he / person) "
@@ -288,7 +297,10 @@ def test_check_claims_only_a_clean_lexicon(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "check", "--lexicon", str(lex))
     assert code == 1
-    assert "problem: verb 'zerfallen' names a pattern outside the atlas" in out
+    assert (
+        "problem: verb 'zerfallen' (emphasis (1) (1 1) (1 1 0) (1 1 0 0)) "
+        "(blocked ?a ?a1 ?a2 ?a3 ?a4) names a pattern outside the atlas"
+    ) in out.splitlines()
     assert not any(line.startswith("lexicon:") for line in out.splitlines())
 
 
@@ -302,6 +314,23 @@ def test_check_reports_overlapping_process_rules(capsys, tmp_path):
     assert code == 1
     assert "process-type rules are not disjoint" in out
     assert "process rules: disjoint over the atlas" not in out
+
+
+def test_check_names_each_faulty_entry_by_its_pattern(capsys, tmp_path):
+    process = tmp_path / "beneficiary.process"
+    process.write_text(
+        Path(data_path("rules", "change-of-possession.process")).read_text()
+        + "(role-map beneficiary agens)\n"
+    )
+    code, out, _ = run(capsys, "check", "--process", str(process))
+    assert code == 1
+    schicken = [l for l in out.splitlines() if l.startswith("problem: verb 'schicken'")]
+    assert schicken == [
+        "problem: verb 'schicken' (emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4): "
+        "participant map is not injective over verbalized roles",
+        "problem: verb 'schicken' (emphasis (0) (1) (1 1) (1 1 0) (1 1 0 0)) "
+        "(blocked ?a2 ?a3): participant map is not injective over verbalized roles",
+    ]
 
 
 def _ambiguous_bundle(tmp_path) -> list[str]:
@@ -380,3 +409,141 @@ def test_outputs_deterministic(capsys):
     first = run(capsys, "forms")
     second = run(capsys, "forms")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# No traceback from any input
+
+# Each file the CLI reads: its option, its path under the data directory,
+# and how it is used (None: a bundle file, read by every command).
+_FUZZ_TARGETS = [
+    ("--field", ("fields", "change-of-possession.field"), None),
+    ("--rules", ("rules", "change-of-possession.rules"), None),
+    ("--oblique", ("rules", "change-of-possession.oblique"), None),
+    ("--cases", ("rules", "change-of-possession.cases"), None),
+    ("--process", ("rules", "change-of-possession.process"), None),
+    ("--um", ("upper-model.um",), None),
+    ("--lexicon", ("lexicon", "change-of-possession.lex"), None),
+    ("--np", ("lexicon", "nps.lex"), None),
+    ("--morph", ("lexicon", "morphology.lex"), None),
+    ("--bindings", ("bindings", "he-him-invitation.binding"), "generate"),
+    ("--script", ("discourse", "biography.script"), "script"),
+]
+_GENERATE = ["generate", "--verb", "schicken", "--bindings", BINDING_SEND]
+
+
+def _commands(option: str, path: str, kind: str | None) -> list[list[str]]:
+    """Every invocation that reads the file at ``path`` given as ``option``."""
+    if kind == "generate":
+        return [[command, "--verb", verb, "--bindings", path, "--emphasis-q", q]
+                for command in ("generate", "spl") for verb in ("schicken", "verlieren")
+                for q in ("emphatic", "nonemphatic")]
+    if kind == "script":
+        return [_GENERATE + ["--script", path], ["plan", "--script", path, "--referent", "him"]]
+    return [[command, option, path] for command in ("frame", "forms", "check")] + [
+        _GENERATE + [option, path, "--emphasis-q", q] for q in ("emphatic", "nonemphatic")
+    ]
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    """``main`` returns 0, 1 or 2 and raises nothing; an error is one
+    ``emphase: error`` line on stderr and nothing on stdout, except that
+    ``check`` reports the problems it finds on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    elif argv[0] == "check" and not err.getvalue():
+        assert any(line.startswith("problem: ") for line in out.getvalue().splitlines())
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("emphase: error"), lines
+        assert out.getvalue() == ""
+
+
+def _subterms(term, place=()):
+    yield place
+    if isinstance(term, list):
+        for i, item in enumerate(term):
+            yield from _subterms(item, place + (i,))
+
+
+def _mutated(text: str, rng: random.Random) -> str:
+    """The file's terms with one subterm replaced by a random term, or by a
+    copy of another subterm of the same file."""
+    terms = sexpr.read_all(text)
+    places = list(_subterms(terms))[1:]
+    if rng.random() < 0.7:
+        new = random_term(rng)
+    else:
+        new = terms
+        for i in rng.choice(places):
+            new = new[i]
+        new = copy.deepcopy(new)
+    *parent_place, last = rng.choice(places)
+    parent = terms
+    for i in parent_place:
+        parent = parent[i]
+    parent[last] = new
+    return "\n".join(sexpr.write(t) for t in terms)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_no_traceback_from_a_replaced_subterm(fuzz_dir, seed):
+    rng = random.Random(seed)
+    option, parts, kind = rng.choice(_FUZZ_TARGETS)
+    path = fuzz_dir / parts[-1]
+    path.write_text(_mutated(Path(data_path(*parts)).read_text(), rng), encoding="utf-8")
+    argv = rng.choice(_commands(option, str(path), kind))
+    if rng.random() < 0.5:
+        argv = argv + ["--format", "structured"]
+    assert_clean_exit(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_no_traceback_from_random_bytes(fuzz_dir, seed):
+    rng = random.Random(seed)
+    option, parts, kind = rng.choice(_FUZZ_TARGETS)
+    path = fuzz_dir / parts[-1]
+    size = rng.randint(0, 120)
+    if rng.random() < 0.5:
+        path.write_bytes(rng.randbytes(size))
+    else:  # bytes that often read as terms
+        path.write_bytes(bytes(rng.choices(b'()";?-019 az\n\x0b\xc3\xa4', k=size)))
+    assert_clean_exit(rng.choice(_commands(option, str(path), kind)))
+
+
+@pytest.mark.parametrize("option, parts, old, new, argv", [
+    ("--oblique", ("rules", "change-of-possession.oblique"),
+     "(oblique (goal have)", "(oblique ((goal) have)", ["forms"]),
+    ("--rules", ("rules", "change-of-possession.rules"),
+     "(init act 1 (agens act))", "(init (act) 1 (agens act))", ["frame"]),
+    ("--rules", ("rules", "change-of-possession.rules"), "(flip not)", "(flip (not))", ["frame"]),
+    ("--lexicon", ("lexicon", "change-of-possession.lex"), "(event send)", "(event (send))",
+     _GENERATE + ["--emphasis-q", "emphatic"]),
+    ("--lexicon", ("lexicon", "change-of-possession.lex"),
+     '(present-3sg "verliert")', "(present-3sg (a b))",
+     ["realize", "--verb", "verlieren", "--bindings", BINDING_KEY]),
+    ("--lexicon", ("lexicon", "change-of-possession.lex"), "(event lose)", '(event "lose")',
+     ["spl", "--verb", "verlieren", "--bindings", BINDING_KEY]),
+], ids=["oblique-role", "init-predicate", "flip-predicate", "event-list", "present-3sg-list",
+        "event-string"])
+def test_misplaced_term_is_one_error_line(capsys, tmp_path, option, parts, old, new, argv):
+    text = Path(data_path(*parts)).read_text()
+    assert old in text
+    path = tmp_path / parts[-1]
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("emphase: error [")
+    assert_clean_exit(argv + [option, str(path)])

@@ -19,7 +19,6 @@ from emphase.lexicon import (
     parse_upper_model,
     select_process_type,
 )
-from emphase.roles import Role
 
 from conftest import PATTERNS
 
@@ -56,14 +55,6 @@ def test_separable_prefix_only_on_wegwerfen(bundle):
     prefixes = {e.lemma: e.prefix for e in bundle.verbs}
     assert prefixes["wegwerfen"] == "weg"
     assert prefixes["verlieren"] is None
-
-
-def test_oblique_roles_computed(bundle):
-    by_pattern = {(e.emphasis, e.blocking): e for e in bundle.verbs}
-    oblique_entry = by_pattern[PATTERNS["schicken-oblique"]]
-    assert oblique_entry.oblique_roles == frozenset({Role("goal", "have")})
-    dative_entry = by_pattern[PATTERNS["schicken-dative"]]
-    assert dative_entry.oblique_roles == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +177,7 @@ def test_lexicon_rejects_illegal_emphasis(bundle):
                  (emphasis (0)) (blocked ?a1)
                  (event x) (present-3sg "x"))"""
     with pytest.raises(SchemeError, match="illegal emphasis"):
-        parse_lexicon(text, bundle.field, bundle.case_frame)
+        parse_lexicon(text, bundle.field)
 
 
 def test_lexicon_rejects_unknown_blocked_variable(bundle):
@@ -194,7 +185,7 @@ def test_lexicon_rejects_unknown_blocked_variable(bundle):
                  (emphasis (1) (1 0) (1 0 0)) (blocked ?zz)
                  (event x) (present-3sg "x"))"""
     with pytest.raises(SchemeError, match="zz"):
-        parse_lexicon(text, bundle.field, bundle.case_frame)
+        parse_lexicon(text, bundle.field)
 
 
 def test_lexicon_rejects_duplicate_patterns(bundle):
@@ -203,4 +194,4 @@ def test_lexicon_rejects_duplicate_patterns(bundle):
                  (event x) (present-3sg "x"))"""
     text = entry.format("one") + entry.format("two")
     with pytest.raises(ParseError, match="patterns are keys"):
-        parse_lexicon(text, bundle.field, bundle.case_frame)
+        parse_lexicon(text, bundle.field)

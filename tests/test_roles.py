@@ -96,6 +96,41 @@ def test_missing_rules_reports_every_gap(bundle):
     assert not missing_rules(bundle.field.scheme, bundle.rule_table)
 
 
+def test_derivation_raises_the_first_gap_missing_rules_reports():
+    table = parse_rule_table("(init have 1 (locat have))")
+    fd = parse_field("(field f (scheme (bec (have ?x ?y))) (emphasis-start ()))")
+    gaps = missing_rules(fd.scheme, table)
+    assert gaps == [
+        "no initial role for argument 2 of basic predicate 'have'",
+        "no role rule for (bec pos <locat, have>)",
+    ]
+    with pytest.raises(MissingRuleError) as info:
+        derive_case_frame(fd.scheme, table)
+    assert str(info.value) == gaps[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_derivation_fails_exactly_when_rules_are_missing(seed):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng)
+    table = random_table(rng, scheme)
+    # drop some rules so that gaps appear
+    table = RoleRuleTable(
+        {k: v for k, v in table.initial.items() if rng.random() < 0.9},
+        {k: v for k, v in table.modifiers.items() if rng.random() < 0.9},
+        table.flips,
+        table.identities,
+    )
+    gaps = missing_rules(scheme, table)
+    if gaps:
+        with pytest.raises(MissingRuleError) as info:
+            derive_case_frame(scheme, table)
+        assert str(info.value) == gaps[0]
+    else:
+        assert derive_case_frame(scheme, table) == case_frame_oracle(scheme, table)
+
+
 def test_duplicate_rule_rejected():
     from emphase.errors import ParseError
 

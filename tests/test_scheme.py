@@ -85,6 +85,12 @@ def test_dangling_constraint_variable_rejected():
         parse_field(text)
 
 
+def test_variable_name_must_be_a_symbol():
+    # ?5 would name a variable that no output could write back as a symbol
+    with pytest.raises(ParseError, match=r"must be a \?variable, got \?5"):
+        parse_field("(field f (scheme (have ?5 ?y)) (emphasis-start ()))")
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_field("(field f (scheme (have ?x ?y)")
