@@ -8,111 +8,33 @@ a fixed verb-second template.  All rule content lives in data files;
 the shipped bundle covers the change-of-possession field.
 """
 
-from .discourse import (
-    DiscourseState,
-    EmphasisQ,
-    TextualStatus,
-    decide_emphasis_q,
-    status_of,
-    update_discourse,
-)
-from .emphasis import (
-    BLOCKED,
-    Blocked,
-    BlockingSet,
-    Case,
-    CasePriority,
-    DirectCase,
-    EmphasisAssignment,
-    Oblique,
-    ObliqueTable,
-    Realization,
-    SemanticForm,
-    assign_cases,
-    check_blocking,
-    check_emphasis,
-    emphatic_variables,
-    enumerate_emphasis,
-    enumerate_semantic_forms,
-)
+from .discourse import EmphasisQ, decide_emphasis_q, status_of, update_discourse
+from .emphasis import enumerate_emphasis, enumerate_semantic_forms
 from .errors import EmphaseError, InputError, RuleGapError
-from .lexicon import (
-    ProcessSelection,
-    UpperModel,
-    VerbEntry,
-    match_verbs,
-    select_process_type,
-)
-from .pipeline import Bundle, Config, GenerationResult, generate, load_bundle
-from .realize import MorphTable, NPSpec, inflect_np, realize
-from .roles import CaseFrame, Role, RoleRuleTable, apply_rule, derive_case_frame
-from .scheme import (
-    Binding,
-    FieldDefinition,
-    Proposition,
-    Referent,
-    Scheme,
-    Variable,
-    parse_binding,
-    parse_field,
-    print_field,
-    validate_binding,
-)
-from .spl import SplTerm, build_spl, parse_spl, serialize_spl
+from .lexicon import match_verbs, select_process_type
+from .pipeline import Config, generate, load_bundle
+from .realize import realize
+from .roles import derive_case_frame
+from .scheme import parse_field, print_field
+from .spl import build_spl, parse_spl, serialize_spl
 
 __version__ = "0.1.0"
 
+# exactly the names README "Library use" documents
 __all__ = [
-    "BLOCKED",
-    "Binding",
-    "Blocked",
-    "BlockingSet",
-    "Bundle",
-    "Case",
-    "CaseFrame",
-    "CasePriority",
     "Config",
-    "DirectCase",
-    "DiscourseState",
     "EmphaseError",
-    "EmphasisAssignment",
     "EmphasisQ",
-    "FieldDefinition",
-    "GenerationResult",
     "InputError",
-    "MorphTable",
-    "NPSpec",
-    "Oblique",
-    "ObliqueTable",
-    "ProcessSelection",
-    "Proposition",
-    "Realization",
-    "Referent",
-    "Role",
-    "RoleRuleTable",
     "RuleGapError",
-    "Scheme",
-    "SemanticForm",
-    "SplTerm",
-    "TextualStatus",
-    "UpperModel",
-    "Variable",
-    "VerbEntry",
-    "apply_rule",
-    "assign_cases",
     "build_spl",
-    "check_blocking",
-    "check_emphasis",
     "decide_emphasis_q",
     "derive_case_frame",
-    "emphatic_variables",
     "enumerate_emphasis",
     "enumerate_semantic_forms",
     "generate",
-    "inflect_np",
     "load_bundle",
     "match_verbs",
-    "parse_binding",
     "parse_field",
     "parse_spl",
     "print_field",
@@ -121,5 +43,4 @@ __all__ = [
     "serialize_spl",
     "status_of",
     "update_discourse",
-    "validate_binding",
 ]

@@ -28,13 +28,8 @@ from .discourse import (
     update_discourse,
 )
 from .emphasis import DirectCase, Oblique, SemanticForm
-from .errors import (
-    AmbiguousProcessError,
-    EmphaseError,
-    InputError,
-    UnclassifiedFormError,
-)
-from .lexicon import match_verbs, select_process_type
+from .errors import EmphaseError, InputError, RuleGapError, UnclassifiedFormError
+from .lexicon import match_verbs
 from .pipeline import (
     Bundle,
     Config,
@@ -138,12 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Rendering helpers
 
 
-def _path_text(path) -> str:
-    return sexpr.write(list(path))
-
-
 def _emphasis_text(form: SemanticForm) -> str:
-    return " ".join(_path_text(p) for p in sorted(form.emphasis.emphatic))
+    return " ".join(sexpr.write(list(p)) for p in sorted(form.emphasis.emphatic))
 
 
 def _realization_term(form: SemanticForm) -> list:
@@ -178,19 +169,13 @@ def cmd_frame(bundle: Bundle, fmt: str) -> list[str]:
 
 
 def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
-    enumeration = bundle.enumerate_forms()
     lines: list[str] = []
-    for index, form in enumerate(enumeration.forms, start=1):
+    for index, (form, selection) in enumerate(bundle.atlas.values(), start=1):
         verbs = match_verbs(form, bundle.verbs)
         # a form no rule or more than one rule classifies is marked, not fatal
-        try:
-            selection = select_process_type(
-                form, bundle.process_rules, bundle.role_maps, bundle.upper_model
-            )
-        except UnclassifiedFormError:
-            selection = "unclassified"
-        except AmbiguousProcessError:
-            selection = "ambiguous"
+        if isinstance(selection, RuleGapError):
+            unclassified = isinstance(selection, UnclassifiedFormError)
+            selection = "unclassified" if unclassified else "ambiguous"
         if fmt == "structured":
             term: list = [
                 "form",
@@ -224,6 +209,7 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             else:
                 participants = " ".join(f"{r}={v}" for r, v in selection.participants)
                 lines.append(f"  process: {selection.um_type} [{participants}]")
+    enumeration = bundle.enumerate_forms()
     if fmt == "structured":
         lines.append(sexpr.write(["count", len(enumeration.forms)]))
     else:
@@ -308,13 +294,19 @@ def cmd_plan(args: argparse.Namespace) -> list[str]:
             f"state: {state.sentence_index} sentences; mentioned {mentioned}; "
             f"hypertheme {hypertheme}"
         )
-    if args.referent:
-        status = status_of(state, args.referent)
-        decision = decide_emphasis_q(status)
+    if args.referent is not None:
+        # the names a script's (mentions ...) can hold: bare symbols
+        try:
+            referent = sexpr.write(args.referent)
+        except ValueError:
+            raise InputError(
+                f"--referent must be a bare symbol, got {args.referent!r}"
+            ) from None
+        decision = decide_emphasis_q(status_of(state, referent))
         if structured:
-            lines.append(sexpr.write(["emphasis-q", args.referent, decision.value]))
+            lines.append(sexpr.write(["emphasis-q", referent, decision.value]))
         else:
-            lines.append(f"emphasis-q({args.referent}): {decision.value}")
+            lines.append(f"emphasis-q({referent}): {decision.value}")
     return lines
 
 

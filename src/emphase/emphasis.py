@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from . import sexpr
 from .errors import (
@@ -133,9 +134,6 @@ class Realization:
     def oblique_variables(self) -> tuple[str, ...]:
         return tuple(v for v, r in self.entries if isinstance(r, Oblique))
 
-    def verbalized_variables(self) -> tuple[str, ...]:
-        return tuple(v for v, r in self.entries if not isinstance(r, Blocked))
-
 
 @dataclass(frozen=True)
 class SemanticForm:
@@ -148,11 +146,13 @@ class SemanticForm:
     case_frame: tuple[tuple[str, Role], ...]
     emphatic_variables: frozenset[str]
 
+    @cached_property
+    def _by_label(self) -> dict[str, str]:
+        """The first variable of each role label, in case-frame order."""
+        return {role.label: v for v, role in reversed(self.case_frame)}
+
     def variable_with_label(self, label: str) -> str | None:
-        for v, role in self.case_frame:
-            if role.label == label:
-                return v
-        return None
+        return self._by_label.get(label)
 
     def is_emphatic(self, variable: str) -> bool:
         return variable in self.emphatic_variables

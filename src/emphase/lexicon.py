@@ -156,14 +156,6 @@ class UpperModel:
     def __contains__(self, name: str) -> bool:
         return name in self.parents
 
-    def subsumes(self, ancestor: str, name: str) -> bool:
-        current: str | None = name
-        while current is not None:
-            if current == ancestor:
-                return True
-            current = self.parents.get(current)
-        return False
-
 
 def parse_upper_model(text: str) -> UpperModel:
     parents: dict[str, str | None] = {}
@@ -326,16 +318,25 @@ def select_process_type(
             f"process rule names unknown upper-model type {um_type!r}"
         )
 
-    participants: list[tuple[str, str]] = []
-    for rule in role_maps:
-        for label in rule.label_priority:
-            variable = form.variable_with_label(label)
-            if variable is not None and form.is_verbalized(variable):
-                participants.append((rule.um_role, variable))
-                break
-    mapped = [v for _, v in participants]
+    filled = participants(form, role_maps)
+    mapped = [v for _, v in filled]
     if len(set(mapped)) != len(mapped):
         raise AmbiguousProcessError(
             "participant map is not injective over verbalized roles"
         )
-    return ProcessSelection(um_type, tuple(participants))
+    return ProcessSelection(um_type, filled)
+
+
+def participants(
+    form: SemanticForm, role_maps: list[RoleMapRule]
+) -> tuple[tuple[str, str], ...]:
+    """(um role, variable) for each role map with a verbalized label: the
+    first such label in the map's priority order."""
+    filled: list[tuple[str, str]] = []
+    for rule in role_maps:
+        for label in rule.label_priority:
+            variable = form.variable_with_label(label)
+            if variable is not None and form.is_verbalized(variable):
+                filled.append((rule.um_role, variable))
+                break
+    return tuple(filled)

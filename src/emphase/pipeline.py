@@ -23,9 +23,11 @@ from pathlib import Path
 from . import sexpr
 from .discourse import DiscourseState, EmphasisQ, decide_emphasis_q, status_of
 from .emphasis import (
+    BlockingSet,
     Case,
     CasePriority,
     DirectCase,
+    EmphasisAssignment,
     FormEnumeration,
     Oblique,
     ObliqueTable,
@@ -52,6 +54,7 @@ from .lexicon import (
     parse_lexicon,
     parse_process_rules,
     parse_upper_model,
+    participants,
     select_process_type,
 )
 from .realize import (
@@ -82,6 +85,8 @@ from .spl import RECIPIENT_ROLE, SplTerm, build_spl
 
 # package data resolves to real files; CLI overrides are plain paths
 DataPath = Path | Traversable
+
+Pattern = tuple[EmphasisAssignment, BlockingSet]
 
 
 def _data_root() -> Traversable:
@@ -131,14 +136,15 @@ class Bundle:
     Each piece is read and validated on first use, so a command that
     only needs the case frame never parses the lexicon, and overriding
     one file does not force the others to stay coherent with it.
-    The frames of a lemma and the process selection of an entry are
-    derived on first request and kept; a failed derivation is not.
+    The enumeration, the frames of a lemma and the process selection of
+    a pattern are derived on first request and kept; a failed
+    derivation is not.
     """
 
     def __init__(self, config: Config):
         self.config = config
         self._frames: dict[str, list[tuple[VerbEntry, SemanticForm]]] = {}
-        self._selections: dict[VerbEntry, ProcessSelection] = {}
+        self._selections: dict[Pattern, ProcessSelection] = {}
 
     @cached_property
     def field(self) -> FieldDefinition:
@@ -196,10 +202,28 @@ class Bundle:
             getattr(self, piece)
         return self
 
-    def enumerate_forms(self) -> FormEnumeration:
+    @cached_property
+    def _enumeration(self) -> FormEnumeration:
         return enumerate_semantic_forms(
             self.field, self.case_frame, self.oblique_table, self.priority
         )
+
+    def enumerate_forms(self) -> FormEnumeration:
+        return self._enumeration
+
+    @cached_property
+    def atlas(self) -> dict[Pattern, tuple[SemanticForm, ProcessSelection | RuleGapError]]:
+        """Each form of the enumeration by its pattern, in canonical order,
+        with its process selection or the rule gap selecting it raised."""
+        atlas = {}
+        for form in self.enumerate_forms().forms:
+            try:
+                outcome = self.selection(form)
+            except RuleGapError as err:
+                # without its traceback, whose frames would hold this bundle
+                outcome = err.with_traceback(None)
+            atlas[form.emphasis, form.blocking] = (form, outcome)
+        return atlas
 
     def frames(self, lemma: str) -> list[tuple[VerbEntry, SemanticForm]]:
         """Each lexicon entry of ``lemma`` with the form it lexicalizes."""
@@ -212,14 +236,15 @@ class Bundle:
             self._frames[lemma] = frames
         return frames
 
-    def selection(self, entry: VerbEntry, form: SemanticForm) -> ProcessSelection:
-        """Process type and participants of ``entry``, whose form is ``form``."""
-        selection = self._selections.get(entry)
+    def selection(self, form: SemanticForm) -> ProcessSelection:
+        """Process type and participants of ``form``."""
+        pattern = (form.emphasis, form.blocking)
+        selection = self._selections.get(pattern)
         if selection is None:
             selection = select_process_type(
                 form, self.process_rules, self.role_maps, self.upper_model
             )
-            self._selections[entry] = selection
+            self._selections[pattern] = selection
         return selection
 
 
@@ -263,13 +288,9 @@ def form_for_entry(bundle: Bundle, entry: VerbEntry) -> SemanticForm:
 
 
 def recipient_variable(form: SemanticForm, role_maps: list[RoleMapRule]) -> str | None:
-    for rule in role_maps:
-        if rule.um_role != RECIPIENT_ROLE:
-            continue
-        for label in rule.label_priority:
-            variable = form.variable_with_label(label)
-            if variable is not None and form.is_verbalized(variable):
-                return variable
+    for role, variable in participants(form, role_maps):
+        if role == RECIPIENT_ROLE:
+            return variable
     return None
 
 
@@ -351,7 +372,7 @@ def generate(
             )
         entry, form = chosen
 
-    selection = bundle.selection(entry, form)
+    selection = bundle.selection(form)
     plan = build_spl(form, selection, entry, binding, effective_q)
     sentence = realize(
         form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
@@ -398,24 +419,14 @@ def check_bundle(bundle: Bundle) -> CheckReport:
         f"({enumeration.rejected_assignment} pairs rejected by case assignment)"
     )
 
-    # each form's process selection, or the rule gap selecting it raised
-    outcomes: dict[tuple, ProcessSelection | RuleGapError] = {}
-    for form in enumeration.forms:
-        try:
-            outcome = select_process_type(
-                form, bundle.process_rules, bundle.role_maps, bundle.upper_model
-            )
-        except RuleGapError as err:
-            outcome = err
-        outcomes[form.emphasis, form.blocking] = outcome
-
+    atlas = bundle.atlas
     for entry in bundle.verbs:
         pattern = (
             ["emphasis"] + [list(p) for p in sorted(entry.emphasis.emphatic)],
             ["blocked"] + sorted("?" + v for v in entry.blocking.blocked),
         )
         name = f"verb {entry.lemma!r} " + " ".join(map(sexpr.write, pattern))
-        outcome = outcomes.get((entry.emphasis, entry.blocking))
+        _, outcome = atlas.get((entry.emphasis, entry.blocking), (None, None))
         if outcome is None:
             input_problems.append(f"{name} names a pattern outside the atlas")
         elif entry.declared_um is None:
@@ -429,7 +440,7 @@ def check_bundle(bundle: Bundle) -> CheckReport:
     if not input_problems:
         lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
-    overlaps = [str(o) for o in outcomes.values() if isinstance(o, OverlappingRulesError)]
+    overlaps = [str(o) for _, o in atlas.values() if isinstance(o, OverlappingRulesError)]
     input_problems.extend(overlaps)
     if not overlaps:
         lines.append("process rules: disjoint over the atlas")

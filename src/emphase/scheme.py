@@ -63,10 +63,13 @@ class Scheme:
     root: Proposition
 
     def __post_init__(self):
-        seen_vars: set[str] = set()
+        # the one walk of the tree: validate it, record the tables queries read
+        nodes: dict[NodePath, Proposition] = {}
+        sites: dict[str, tuple[NodePath, int]] = {}
         kinds: dict[str, str] = {}
 
-        def check(node: Proposition):
+        def check(node: Proposition, path: NodePath):
+            nodes[path] = node
             if not node.args:
                 raise SchemeError(f"predicate {node.predicate!r} has no arguments")
             has_var = any(isinstance(a, Variable) for a in node.args)
@@ -81,31 +84,25 @@ class Scheme:
                 raise SchemeError(
                     f"predicate {node.predicate!r} used both as basic and propositional"
                 )
-            for a in node.args:
+            for i, a in enumerate(node.args):
                 if isinstance(a, Variable):
-                    if a.name in seen_vars:
+                    if a.name in sites:
                         raise SchemeError(
                             f"variable ?{a.name} occurs more than once; "
                             "use a coref constraint for identity"
                         )
-                    seen_vars.add(a.name)
+                    sites[a.name] = (path, i + 1)
                 else:
-                    check(a)
+                    check(a, path + (i,))
 
-        check(self.root)
+        check(self.root, ())
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_sites", sites)
 
     @cached_property
     def paths(self) -> tuple[NodePath, ...]:
         """All proposition paths, preorder."""
-        acc: list[NodePath] = []
-
-        def walk(node: Proposition, path: NodePath):
-            acc.append(path)
-            for i in node.child_indices():
-                walk(node.args[i], path + (i,))
-
-        walk(self.root, ())
-        return tuple(acc)
+        return tuple(self._nodes)
 
     @cached_property
     def path_variables(self) -> dict[NodePath, frozenset[str]]:
@@ -113,45 +110,29 @@ class Scheme:
         propositional node.  Built on first use, so parsing never pays
         for it."""
         return {
-            path: frozenset(v.name for v in self.node_at(path).variables)
-            for path in self.paths
+            path: frozenset(v.name for v in node.variables)
+            for path, node in self._nodes.items()
         }
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
         """Variable names in left-to-right scheme order."""
-        return tuple(v for v, _site in self._sites)
-
-    @cached_property
-    def _sites(self) -> tuple[tuple[str, tuple[NodePath, int]], ...]:
-        acc: list[tuple[str, tuple[NodePath, int]]] = []
-
-        def walk(node: Proposition, path: NodePath):
-            for i, a in enumerate(node.args):
-                if isinstance(a, Variable):
-                    acc.append((a.name, (path, i + 1)))
-                else:
-                    walk(a, path + (i,))
-
-        walk(self.root, ())
-        return tuple(acc)
+        return tuple(self._sites)
 
     def variable_site(self, name: str) -> tuple[NodePath, int]:
         """Path of the basic proposition holding the variable, and its
         1-based argument position there."""
-        for v, site in self._sites:
-            if v == name:
-                return site
-        raise SchemeError(f"unknown variable ?{name}")
+        site = self._sites.get(name)
+        if site is None:
+            raise SchemeError(f"unknown variable ?{name}")
+        return site
 
     def node_at(self, path: NodePath) -> Proposition:
-        node = self.root
-        for depth, i in enumerate(path):
-            if i < 0 or i >= len(node.args) or isinstance(node.args[i], Variable):
-                raise SchemeError(
-                    f"path {list(path)} out of range at index {depth}"
-                )
-            node = node.args[i]
+        node = self._nodes.get(path)
+        if node is None:
+            # the first index whose prefix names no proposition
+            depth = next(d for d in range(len(path)) if path[: d + 1] not in self._nodes)
+            raise SchemeError(f"path {list(path)} out of range at index {depth}")
         return node
 
 

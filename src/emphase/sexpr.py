@@ -175,10 +175,13 @@ def symbol(term: Term, slot: str) -> str:
 
 
 def string(term: Term, slot: str) -> str:
-    """The text of a quoted string."""
-    if isinstance(term, QuotedString):
-        return str(term)
-    raise _wrong(term, slot, "a quoted string")
+    """The text of a quoted string on one line: output writes each term on
+    one line, and the reader has no escape for a line boundary."""
+    if not isinstance(term, QuotedString):
+        raise _wrong(term, slot, "a quoted string")
+    if "".join(term.splitlines()) != term:
+        raise _wrong(term, slot, "a quoted string on one line")
+    return str(term)
 
 
 def integer(term: Term, slot: str) -> int:

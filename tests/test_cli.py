@@ -522,6 +522,33 @@ def test_no_traceback_from_random_bytes(fuzz_dir, seed):
     assert_clean_exit(rng.choice(_commands(option, str(path), kind)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.text())
+def test_no_traceback_from_a_flag_value(seed, value):
+    """``--referent``, ``--verb`` or ``--focus`` set to any text, given as
+    ``--flag=value`` so that argparse never reads the value as a flag."""
+    rng = random.Random(seed)
+    verb, focus = rng.choice([(value, "recipient"), ("schicken", value)])
+    decision = rng.choice([["--emphasis-q", "emphatic"], ["--emphasis-q", "nonemphatic"],
+                           ["--script", SCRIPT]])
+    for fmt in ("text", "structured"):
+        assert_clean_exit(["plan", "--script", SCRIPT, f"--referent={value}", "--format", fmt])
+        for command in ("generate", "spl", "realize"):
+            assert_clean_exit([command, f"--verb={verb}", "--bindings", BINDING_SEND,
+                               f"--focus={focus}", *decision, "--format", fmt])
+
+
+def test_plan_refuses_a_referent_no_script_can_name(capsys):
+    for value in ("a b", "12", "x;y", "", '"him"'):
+        for fmt in ("text", "structured"):
+            code, out, err = run(capsys, "plan", "--script", SCRIPT, f"--referent={value}",
+                                 "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                f"emphase: error [plan]: --referent must be a bare symbol, got {value!r}"
+            ]
+
+
 @pytest.mark.parametrize("option, parts, old, new, argv", [
     ("--oblique", ("rules", "change-of-possession.oblique"),
      "(oblique (goal have)", "(oblique ((goal) have)", ["forms"]),
@@ -535,8 +562,10 @@ def test_no_traceback_from_random_bytes(fuzz_dir, seed):
      ["realize", "--verb", "verlieren", "--bindings", BINDING_KEY]),
     ("--lexicon", ("lexicon", "change-of-possession.lex"), "(event lose)", '(event "lose")',
      ["spl", "--verb", "verlieren", "--bindings", BINDING_KEY]),
+    ("--lexicon", ("lexicon", "change-of-possession.lex"), '(verb "verlieren"',
+     '(verb "ver\nlieren"', ["forms", "--format", "structured"]),
 ], ids=["oblique-role", "init-predicate", "flip-predicate", "event-list", "present-3sg-list",
-        "event-string"])
+        "event-string", "lemma-newline"])
 def test_misplaced_term_is_one_error_line(capsys, tmp_path, option, parts, old, new, argv):
     text = Path(data_path(*parts)).read_text()
     assert old in text

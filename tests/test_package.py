@@ -1,0 +1,25 @@
+"""The package's public surface is the one README "Library use" documents."""
+
+import re
+from pathlib import Path
+
+import emphase
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_use_names() -> set[str]:
+    """Backticked plain names of the "Library use" section, outside its
+    code block; dotted module paths are not package exports."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    return set(re.findall(r"`([A-Za-z_]\w*)`", prose))
+
+
+def test_exports_are_the_documented_names():
+    names = _library_use_names()
+    assert len(names) == 21
+    assert set(emphase.__all__) == names
+    assert len(emphase.__all__) == len(names)
+    assert all(hasattr(emphase, name) for name in names)

@@ -1,13 +1,16 @@
 """Bundle loading, frame selection, and end-to-end generation."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from emphase import pipeline
+from emphase.cli import cmd_forms
 from emphase.discourse import EmphasisQ, parse_script, run_script
 from emphase.emphasis import Case, DirectCase, Oblique
-from emphase.errors import FocusConflictError, InputError
+from emphase.errors import FocusConflictError, InputError, RuleGapError
 from emphase.pipeline import (
     Config,
     check_bundle,
@@ -151,6 +154,42 @@ def test_generate_derives_forms_and_selections_once(monkeypatch, binding_send, b
         generate(bundle, "wegwerfen", binding_key)
     assert derived == Counter({e: 1 for e in bundle.verbs})
     assert selected == Counter({pattern: 1 for pattern in PATTERNS.values()})
+
+
+def test_check_and_forms_classify_each_form_once(monkeypatch):
+    bundle = load_bundle(Config.default())
+    enumerated, selected = Counter(), Counter()
+    enumerate_forms, select = pipeline.enumerate_semantic_forms, pipeline.select_process_type
+
+    def counting_enumerate(*args):
+        enumerated["forms"] += 1
+        return enumerate_forms(*args)
+
+    def counting_select(form, *rules):
+        selected[(form.emphasis, form.blocking)] += 1
+        return select(form, *rules)
+
+    monkeypatch.setattr(pipeline, "enumerate_semantic_forms", counting_enumerate)
+    monkeypatch.setattr(pipeline, "select_process_type", counting_select)
+    assert check_bundle(bundle).ok
+    for fmt in ("text", "structured"):
+        cmd_forms(bundle, fmt)
+    assert enumerated == Counter(forms=1)
+    assert selected == Counter({pattern: 1 for pattern in bundle.atlas})
+    assert len(bundle.atlas) == len(bundle.enumerate_forms().forms) == 15
+
+
+def test_a_bundle_with_rule_gaps_in_its_atlas_is_freed_without_the_collector():
+    # a stored error that kept its traceback would hold the bundle in a cycle
+    bundle = load_bundle(Config.default())
+    assert any(isinstance(outcome, RuleGapError) for _, outcome in bundle.atlas.values())
+    freed = weakref.ref(bundle)
+    gc.disable()
+    try:
+        del bundle
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_bad_entry_fails_every_call_and_only_its_lemma(tmp_path, binding_key):

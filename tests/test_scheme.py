@@ -12,6 +12,7 @@ from emphase.scheme import (
     Equal,
     OneOf,
     Referent,
+    Variable,
     complete_binding,
     parse_binding,
     parse_field,
@@ -19,7 +20,7 @@ from emphase.scheme import (
     validate_binding,
 )
 
-from bruteforce import random_field
+from bruteforce import random_field, random_scheme, wrap_scheme
 
 MINIMAL = "(field f (scheme (have ?x ?y)) (emphasis-start ()))"
 
@@ -61,6 +62,60 @@ def test_every_path_resolves_and_reserializes(field):
         # recompute the path of the resolved node by structural search
         matches = [p for p in scheme.paths if scheme.node_at(p) is node]
         assert matches == [path]
+
+
+def _walk(node, path=()):
+    """Preorder path -> node and left-to-right variable -> site tables,
+    by plain recursion over the tree."""
+    nodes, sites = {path: node}, {}
+    for i, arg in enumerate(node.args):
+        if isinstance(arg, Variable):
+            sites[arg.name] = (path, i + 1)
+        else:
+            sub_nodes, sub_sites = _walk(arg, path + (i,))
+            nodes.update(sub_nodes)
+            sites.update(sub_sites)
+    return nodes, sites
+
+
+def _resolve(root, path):
+    """The node at ``path``, or the message for the first index that
+    leaves the tree."""
+    node = root
+    for depth, i in enumerate(path):
+        if not 0 <= i < len(node.args) or isinstance(node.args[i], Variable):
+            return f"path {list(path)} out of range at index {depth}"
+        node = node.args[i]
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scheme_tables_match_a_plain_walk(seed):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng)
+    if rng.random() < 0.5:
+        scheme = wrap_scheme(scheme, rng.choice(["et", "not"]), rng.randint(1, 3))
+    nodes, sites = _walk(scheme.root)
+    assert scheme.paths == tuple(nodes)
+    assert scheme.variables == tuple(sites)
+    for name, site in sites.items():
+        assert scheme.variable_site(name) == site
+    with pytest.raises(SchemeError, match=r"^unknown variable \?nowhere$"):
+        scheme.variable_site("nowhere")
+    for path, node in nodes.items():
+        assert scheme.node_at(path) is node
+    for _ in range(20):
+        path = rng.choice(scheme.paths) + tuple(
+            rng.randint(-1, 3) for _ in range(rng.randint(1, 3))
+        )
+        expected = _resolve(scheme.root, path)
+        if isinstance(expected, str):
+            with pytest.raises(SchemeError) as info:
+                scheme.node_at(path)
+            assert str(info.value) == expected
+        else:
+            assert scheme.node_at(path) is expected
 
 
 def test_emphasis_start_out_of_range():

@@ -225,3 +225,14 @@ def test_parsers_reject_a_wrong_kind_in_a_slot(parse, text, message):
     with pytest.raises(ParseError) as info:
         parser(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                      "\x1e", "\x85", "\u2028", "\u2029"])
+def test_string_refuses_a_line_boundary(boundary):
+    assert sexpr.string(sexpr.read('""'), "s") == ""
+    term = sexpr.read(f'"ver{boundary}lieren"')
+    with pytest.raises(ParseError) as info:
+        sexpr.string(term, "a verb lemma")
+    assert str(info.value).startswith("a verb lemma must be a quoted string on one line, got ")
+    assert len(str(info.value).splitlines()) == 1
