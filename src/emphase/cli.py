@@ -78,15 +78,27 @@ def _data_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _regular_file(value: str) -> Path:
+    """The path a flag names, which must be a regular file or a link to
+    one: a read from a directory fails and one from a pipe can block."""
+    path = Path(value)
+    if not path.is_file():
+        problem = (
+            "is a directory" if path.is_dir()
+            else "not a regular file" if path.exists()
+            else "dangling symbolic link" if path.is_symlink()
+            else "no such file"
+        )
+        raise InputError(f"cannot read {path}: {problem}")
+    return path
+
+
 def _config_from(args: argparse.Namespace) -> Config:
     config = Config.default()
     for _flag, dest, _help in _DATA_OPTIONS:
         value = getattr(args, dest, None)
         if value is not None:
-            path = Path(value)
-            if not path.is_file():
-                raise InputError(f"cannot read {path}: no such file")
-            setattr(config, dest, path)
+            setattr(config, dest, _regular_file(value))
     return config
 
 
@@ -131,10 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # Rendering helpers
-
-
-def _emphasis_text(form: SemanticForm) -> str:
-    return " ".join(sexpr.write(list(p)) for p in sorted(form.emphasis.emphatic))
 
 
 def _realization_term(form: SemanticForm) -> list:
@@ -194,7 +202,8 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             lines.append(sexpr.write(term))
         else:
             lines.append(f"form {index}")
-            lines.append(f"  emphasis: {_emphasis_text(form)}")
+            emphatic = " ".join(sexpr.write(list(p)) for p in sorted(form.emphasis.emphatic))
+            lines.append(f"  emphasis: {emphatic}")
             blocked = " ".join(sorted(form.blocking.blocked)) or "(none)"
             lines.append(f"  blocked: {blocked}")
             cases = " ".join(
@@ -222,13 +231,13 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
 
 def _run_generation(args: argparse.Namespace, bundle: Bundle):
     with _stage("binding"):
-        binding = load_binding(bundle, read_data(Path(args.bindings)))
+        binding = load_binding(bundle, read_data(_regular_file(args.bindings)))
     if args.script and args.emphasis_q:
         raise InputError("give --emphasis-q or --script, not both")
     state = None
     if args.script:
         with _stage("plan"):
-            state = run_script(parse_script(read_data(Path(args.script))))
+            state = run_script(parse_script(read_data(_regular_file(args.script))))
     emphasis_q = EmphasisQ(args.emphasis_q) if args.emphasis_q else None
     with _stage("generate"):
         result = generate(
@@ -260,7 +269,7 @@ def cmd_generate(args: argparse.Namespace, bundle: Bundle, parts: str) -> list[s
 
 
 def cmd_plan(args: argparse.Namespace) -> list[str]:
-    updates = parse_script(read_data(Path(args.script)))
+    updates = parse_script(read_data(_regular_file(args.script)))
     lines: list[str] = []
     structured = args.format == "structured"
     state = EMPTY_STATE
@@ -328,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
             with _stage("plan"):
                 print("\n".join(cmd_plan(args)))
             return 0
-        bundle = load_bundle(_config_from(args))
+        with _stage("load"):
+            bundle = load_bundle(_config_from(args))
         if args.command == "frame":
             with _stage("frame"):
                 lines = cmd_frame(bundle, args.format)

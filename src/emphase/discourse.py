@@ -14,15 +14,14 @@ not independently variable here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import sexpr
 from .errors import FocusConflictError, HyperthemeError
 
 
-@dataclass(frozen=True)
-class DiscourseState:
+class DiscourseState(NamedTuple):
     """Immutable mention history; updates return a new state."""
 
     mentioned: frozenset[str] = frozenset()
@@ -33,8 +32,7 @@ class DiscourseState:
 EMPTY_STATE = DiscourseState()
 
 
-@dataclass(frozen=True)
-class TextualStatus:
+class TextualStatus(NamedTuple):
     given: bool
     is_hypertheme: bool
     in_focus: bool = False
@@ -104,8 +102,7 @@ def decide_emphasis_q(status_of_recipient: TextualStatus) -> EmphasisQ:
 # Discourse scripts
 
 
-@dataclass(frozen=True)
-class SentenceUpdate:
+class SentenceUpdate(NamedTuple):
     mentions: tuple[str, ...]
     hypertheme: str | None = None
 

@@ -24,9 +24,9 @@ skipped and counted during enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import sexpr
 from .errors import (
@@ -50,21 +50,16 @@ class Case(Enum):
 CASES = {case.value: case for case in Case}  # symbol -> case, for the data files
 
 
-@dataclass(frozen=True)
-class EmphasisAssignment:
+class EmphasisAssignment(NamedTuple):
     """Set of emphatic proposition paths."""
 
     emphatic: frozenset[NodePath]
-
-    def sort_key(self) -> tuple[NodePath, ...]:
-        return tuple(sorted(self.emphatic))
 
     def __contains__(self, path: NodePath) -> bool:
         return path in self.emphatic
 
 
-@dataclass(frozen=True)
-class BlockingSet:
+class BlockingSet(NamedTuple):
     """Variables whose roles are not verbalized."""
 
     blocked: frozenset[str]
@@ -73,16 +68,14 @@ class BlockingSet:
         return variable in self.blocked
 
 
-@dataclass(frozen=True)
-class DirectCase:
+class DirectCase(NamedTuple):
     case: Case
 
     def __str__(self):
         return self.case.value
 
 
-@dataclass(frozen=True)
-class Oblique:
+class Oblique(NamedTuple):
     preposition: str
     governed: Case
 
@@ -90,10 +83,16 @@ class Oblique:
         return f"{self.preposition}+{self.governed.value}"
 
 
-@dataclass(frozen=True)
 class Blocked:
+    """No realization: the role is not verbalized; ``BLOCKED`` is the one instance."""
+
+    __slots__ = ()
+
     def __str__(self):
         return "—"
+
+    def __repr__(self):
+        return "BLOCKED"
 
 
 BLOCKED = Blocked()
@@ -101,22 +100,10 @@ BLOCKED = Blocked()
 RoleRealization = DirectCase | Oblique | Blocked
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """Per-variable realization, in case-frame order."""
 
     entries: tuple[tuple[str, RoleRealization], ...]
-
-    def __post_init__(self):
-        nominatives = [
-            v
-            for v, r in self.entries
-            if isinstance(r, DirectCase) and r.case is Case.NOMINATIVE
-        ]
-        if len(nominatives) > 1:
-            raise CaseAssignmentError(
-                f"more than one nominative: {', '.join(nominatives)}"
-            )
 
     def of(self, variable: str) -> RoleRealization:
         for v, r in self.entries:
@@ -135,16 +122,17 @@ class Realization:
         return tuple(v for v, r in self.entries if isinstance(r, Oblique))
 
 
-@dataclass(frozen=True)
-class SemanticForm:
-    """One derivable realization pattern of a lexical field."""
-
+class _FormFields(NamedTuple):
     field_name: str
     emphasis: EmphasisAssignment
     blocking: BlockingSet
     realization: Realization
     case_frame: tuple[tuple[str, Role], ...]
     emphatic_variables: frozenset[str]
+
+
+class SemanticForm(_FormFields):
+    """One derivable realization pattern of a lexical field."""
 
     @cached_property
     def _by_label(self) -> dict[str, str]:
@@ -210,7 +198,7 @@ def enumerate_emphasis(field: FieldDefinition) -> list[EmphasisAssignment]:
         for a in (EmphasisAssignment(paths) for paths in assignments)
         if not check_emphasis(field, a)
     ]
-    result.sort(key=EmphasisAssignment.sort_key)
+    result.sort(key=lambda a: sorted(a.emphatic))
     return result
 
 
@@ -258,13 +246,13 @@ def check_blocking(
 ) -> list[NodePath]:
     """Paths of emphatic basic propositions whose arguments are all
     blocked; empty means the blocking set is admissible."""
-    table = scheme.path_variables
+    table, blocked = scheme.path_variables, blocking.blocked
     offending: list[NodePath] = []
     for path in emphasis.emphatic:
         names = table.get(path)
         if names is None:
             scheme.node_at(path)  # raises: the path leaves the scheme
-        elif names and names <= blocking.blocked:
+        elif names and names <= blocked:
             offending.append(path)
     return sorted(offending)
 
@@ -273,16 +261,14 @@ def check_blocking(
 # Case assignment
 
 
-@dataclass(frozen=True)
-class ObliqueTable:
+class ObliqueTable(NamedTuple):
     """Prepositional realization per role, for verbalized roles
     without emphasis."""
 
     entries: dict[Role, tuple[str, Case]]
 
 
-@dataclass(frozen=True)
-class CasePriority:
+class CasePriority(NamedTuple):
     """Role-label preference orders for the direct cases."""
 
     nominative: tuple[str, ...]
@@ -370,8 +356,7 @@ def assign_cases(
 # Semantic-form enumeration
 
 
-@dataclass
-class FormEnumeration:
+class FormEnumeration(NamedTuple):
     forms: list[SemanticForm]
     rejected_blocking: int
     rejected_assignment: int
@@ -418,13 +403,14 @@ def enumerate_semantic_forms(
             if v not in emphatic and role not in oblique_table.entries
         )
         for blocking in blockings:
+            blocked = blocking.blocked
             if check_blocking(scheme, emphasis, blocking):
                 rejected_blocking += 1
                 continue
-            if not must_block <= blocking.blocked:
+            if not must_block <= blocked:
                 rejected_assignment += 1
                 continue
-            unblocked = frame_emphatic - blocking.blocked
+            unblocked = frame_emphatic - blocked
             if unblocked not in outcomes:
                 pending = [v for v in case_frame if v in unblocked]
                 try:

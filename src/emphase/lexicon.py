@@ -15,7 +15,7 @@ maps are plain data so a field can correct them without code changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sexpr
 from .emphasis import (
@@ -31,11 +31,10 @@ from .errors import (
     SchemeError,
     UnclassifiedFormError,
 )
-from .scheme import FieldDefinition
+from .scheme import FieldDefinition, distinct_by_type
 
 
-@dataclass(frozen=True)
-class VerbEntry:
+class VerbEntry(NamedTuple):
     """One lexicalization: a lemma for one semantic-form pattern."""
 
     lemma: str
@@ -147,8 +146,7 @@ def parse_lexicon(text: str, field: FieldDefinition) -> list[VerbEntry]:
 # Upper-model fragment
 
 
-@dataclass(frozen=True)
-class UpperModel:
+class UpperModel(NamedTuple):
     """Subsumption fragment: type name -> parent name (None for roots)."""
 
     parents: dict[str, str | None]
@@ -182,26 +180,27 @@ def parse_upper_model(text: str) -> UpperModel:
 # Process-type rules
 
 
-@dataclass(frozen=True)
-class RoleTest:
+class RoleTest(NamedTuple):
     """Atomic condition over the role with the given label."""
 
     kind: str  # emphatic | blocked | unblocked
     label: str
 
 
-@dataclass(frozen=True)
-class AllOf:
+# As plain tuples, (and c) would equal (or c), and (not (not c)) would
+# equal (and c): both are one-item tuples of the same items.
+@distinct_by_type
+class AllOf(NamedTuple):
     items: tuple["Condition", ...]
 
 
-@dataclass(frozen=True)
-class AnyOf:
+@distinct_by_type
+class AnyOf(NamedTuple):
     items: tuple["Condition", ...]
 
 
-@dataclass(frozen=True)
-class Negation:
+@distinct_by_type
+class Negation(NamedTuple):
     item: "Condition"
 
 
@@ -224,22 +223,19 @@ def evaluate_condition(condition: Condition, form: SemanticForm) -> bool:
     return not evaluate_condition(condition.item, form)
 
 
-@dataclass(frozen=True)
-class ProcessRule:
+class ProcessRule(NamedTuple):
     um_type: str
     condition: Condition
 
 
-@dataclass(frozen=True)
-class RoleMapRule:
+class RoleMapRule(NamedTuple):
     """Fill one participant role from the first verbalized label."""
 
     um_role: str
     label_priority: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProcessSelection:
+class ProcessSelection(NamedTuple):
     """Chosen process type plus its participant variables."""
 
     um_type: str

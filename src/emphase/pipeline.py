@@ -14,11 +14,11 @@ the form, emit the plan term, and realize the sentence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from importlib.abc import Traversable
 from pathlib import Path
+from typing import NamedTuple
 
 from . import sexpr
 from .discourse import DiscourseState, EmphasisQ, decide_emphasis_q, status_of
@@ -87,29 +87,32 @@ from .spl import RECIPIENT_ROLE, SplTerm, build_spl
 DataPath = Path | Traversable
 
 Pattern = tuple[EmphasisAssignment, BlockingSet]
+# a lexicon entry, the form it lexicalizes, and the form's recipient variable
+Frame = tuple[VerbEntry, SemanticForm, str | None]
 
 
-def _data_root() -> Traversable:
-    return resources.files(__package__) / "data"
-
-
-@dataclass
 class Config:
-    """Paths of the nine data files."""
+    """Paths of the nine data files: the one mutable record, so that a
+    caller can point any of them elsewhere."""
 
-    field_path: DataPath
-    rules_path: DataPath
-    oblique_path: DataPath
-    cases_path: DataPath
-    process_path: DataPath
-    um_path: DataPath
-    lexicon_path: DataPath
-    np_path: DataPath
-    morph_path: DataPath
+    def __init__(
+        self, field_path: DataPath, rules_path: DataPath, oblique_path: DataPath,
+        cases_path: DataPath, process_path: DataPath, um_path: DataPath,
+        lexicon_path: DataPath, np_path: DataPath, morph_path: DataPath,
+    ):
+        self.field_path = field_path
+        self.rules_path = rules_path
+        self.oblique_path = oblique_path
+        self.cases_path = cases_path
+        self.process_path = process_path
+        self.um_path = um_path
+        self.lexicon_path = lexicon_path
+        self.np_path = np_path
+        self.morph_path = morph_path
 
     @classmethod
     def default(cls) -> "Config":
-        data = _data_root()
+        data = resources.files(__package__) / "data"
         return cls(
             field_path=data / "fields" / "change-of-possession.field",
             rules_path=data / "rules" / "change-of-possession.rules",
@@ -126,7 +129,9 @@ class Config:
 def read_data(path: DataPath) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
         raise InputError(f"cannot read {path}: {err}") from None
 
 
@@ -143,7 +148,7 @@ class Bundle:
 
     def __init__(self, config: Config):
         self.config = config
-        self._frames: dict[str, list[tuple[VerbEntry, SemanticForm]]] = {}
+        self._frames: dict[str, list[Frame]] = {}
         self._selections: dict[Pattern, ProcessSelection] = {}
 
     @cached_property
@@ -225,14 +230,16 @@ class Bundle:
             atlas[form.emphasis, form.blocking] = (form, outcome)
         return atlas
 
-    def frames(self, lemma: str) -> list[tuple[VerbEntry, SemanticForm]]:
-        """Each lexicon entry of ``lemma`` with the form it lexicalizes."""
+    def frames(self, lemma: str) -> list[Frame]:
+        """Each lexicon entry of ``lemma`` with the form it lexicalizes and
+        that form's recipient variable."""
         frames = self._frames.get(lemma)
         if frames is None:
             entries = [e for e in self.verbs if e.lemma == lemma]
             if not entries:
                 raise InputError(f"no lexicon entry for verb {lemma!r}")
-            frames = [(e, form_for_entry(self, e)) for e in entries]
+            forms = [(e, form_for_entry(self, e)) for e in entries]
+            frames = [(e, f, recipient_variable(f, self.role_maps)) for e, f in forms]
             self._frames[lemma] = frames
         return frames
 
@@ -288,14 +295,10 @@ def form_for_entry(bundle: Bundle, entry: VerbEntry) -> SemanticForm:
 
 
 def recipient_variable(form: SemanticForm, role_maps: list[RoleMapRule]) -> str | None:
-    for role, variable in participants(form, role_maps):
-        if role == RECIPIENT_ROLE:
-            return variable
-    return None
+    return next((v for role, v in participants(form, role_maps) if role == RECIPIENT_ROLE), None)
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     verb: VerbEntry
     form: SemanticForm
     selection: ProcessSelection
@@ -313,14 +316,19 @@ def generate(
     focus_role: str | None = None,
 ) -> GenerationResult:
     """Run the whole pipeline for one verb and binding."""
+    roles = [rule.um_role for rule in bundle.role_maps]
+    if focus_role is not None and focus_role not in roles:
+        raise InputError(
+            f"the focus role must be a participant role ({', '.join(roles)}), "
+            f"got {focus_role!r}"
+        )
     candidates = bundle.frames(lemma)
 
     effective_q = emphasis_q
     if script_state is not None:
         recipient_referents = {
             binding.referent(var).name
-            for _, form in candidates
-            for var in [recipient_variable(form, bundle.role_maps)]
+            for _, _, var in candidates
             if var is not None and binding.referent(var) is not None
         }
         if recipient_referents:
@@ -344,7 +352,7 @@ def generate(
         )
 
     if len(candidates) == 1:
-        entry, form = candidates[0]
+        entry, form, _ = candidates[0]
     else:
         if effective_q is None:
             raise InputError(
@@ -352,8 +360,7 @@ def generate(
                 "--emphasis-q or a discourse script"
             )
         chosen = None
-        for e, form in candidates:
-            var = recipient_variable(form, bundle.role_maps)
+        for e, form, var in candidates:
             if var is None:
                 continue
             realization = form.realization.of(var)
@@ -384,8 +391,7 @@ def generate(
 # Bundle validation (the `check` command)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     lines: list[str]
     input_problems: list[str]
     rule_gaps: list[str]

@@ -15,8 +15,8 @@ form tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import sexpr
 from .discourse import EmphasisQ
@@ -43,8 +43,7 @@ class Definiteness(Enum):
     PRONOUN = "pronoun"
 
 
-@dataclass(frozen=True)
-class NPSpec:
+class NPSpec(NamedTuple):
     """One noun phrase to inflect; pronouns ignore definiteness."""
 
     head: str  # noun lemma or referent name for pronouns
@@ -53,23 +52,20 @@ class NPSpec:
     definiteness: Definiteness
 
 
-@dataclass(frozen=True)
-class NounEntry:
+class NounEntry(NamedTuple):
     lemma: str
     gender: Gender
     definiteness: Definiteness
 
 
-@dataclass(frozen=True)
-class PronounEntry:
+class PronounEntry(NamedTuple):
     gender: Gender
 
 
 NPLexicon = dict[str, "NounEntry | PronounEntry"]
 
 
-@dataclass(frozen=True)
-class MorphTable:
+class MorphTable(NamedTuple):
     articles: dict[tuple[Definiteness, Gender, Case], str]
     pronouns: dict[tuple[Gender, Case], str]
 

@@ -22,7 +22,7 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sexpr
 from .errors import MissingRuleError, ParseError
@@ -32,8 +32,7 @@ POS = "pos"
 NEG = "neg"
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     """A deep case: a label anchored to a basic predicate."""
 
     label: str
@@ -47,16 +46,11 @@ class Role:
 CaseFrame = dict[str, Role]
 
 
-@dataclass(frozen=True)
-class RoleRuleTable:
+class RoleRuleTable(NamedTuple):
     initial: dict[tuple[str, int], Role]
     modifiers: dict[tuple[str, str, Role], Role]
     flips: frozenset[str]
     identities: frozenset[str]
-
-
-def flip_polarity(polarity: str) -> str:
-    return NEG if polarity == POS else POS
 
 
 def initial_role(table: RoleRuleTable, predicate: str, position: int) -> Role:
@@ -106,7 +100,7 @@ def _derive(scheme: Scheme, table: RoleRuleTable) -> tuple[dict, list[MissingRul
                 if role is not None:
                     role = attempt(apply_rule, node.predicate, role, polarity)
                 if node.predicate in table.flips:
-                    polarity = flip_polarity(polarity)
+                    polarity = NEG if polarity == POS else POS
                 entries.append((var, role, polarity))
         return entries
 

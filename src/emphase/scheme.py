@@ -17,8 +17,8 @@ pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import sexpr
 from .errors import ParseError, SchemeError
@@ -26,8 +26,20 @@ from .errors import ParseError, SchemeError
 NodePath = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Variable:
+def distinct_by_type(cls):
+    """Class decorator for a NamedTuple record that shares its shape with
+    another record type: an instance equals only instances of its own
+    type, so that ``Equal(a, b) != Distinct(a, b)``."""
+
+    def eq(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    cls.__eq__ = eq
+    cls.__ne__ = lambda self, other: not eq(self, other)
+    return cls
+
+
+class Variable(NamedTuple):
     """Elementary argument of a basic predicate; written ``?name``."""
 
     name: str
@@ -36,8 +48,7 @@ class Variable:
         return "?" + self.name
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(NamedTuple):
     """One scheme node: a predicate applied to its arguments."""
 
     predicate: str
@@ -56,13 +67,17 @@ class Proposition:
         return tuple(i for i, a in enumerate(self.args) if isinstance(a, Proposition))
 
 
-@dataclass(frozen=True)
-class Scheme:
-    """Rooted proposition tree with unique variable occurrences."""
-
+class _SchemeFields(NamedTuple):
     root: Proposition
 
-    def __post_init__(self):
+
+class Scheme(_SchemeFields):
+    """Rooted proposition tree with unique variable occurrences.  Its
+    query tables, built by the constructor's one walk, are kept on the
+    instance."""
+
+    def __new__(cls, root: Proposition):
+        self = super().__new__(cls, root)
         # the one walk of the tree: validate it, record the tables queries read
         nodes: dict[NodePath, Proposition] = {}
         sites: dict[str, tuple[NodePath, int]] = {}
@@ -95,9 +110,10 @@ class Scheme:
                 else:
                     check(a, path + (i,))
 
-        check(self.root, ())
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_sites", sites)
+        check(root, ())
+        self._nodes = nodes
+        self._sites = sites
+        return self
 
     @cached_property
     def paths(self) -> tuple[NodePath, ...]:
@@ -136,8 +152,8 @@ class Scheme:
         return node
 
 
-@dataclass(frozen=True)
-class Equal:
+@distinct_by_type
+class Equal(NamedTuple):
     left: str
     right: str
 
@@ -145,8 +161,8 @@ class Equal:
         return f"(= ?{self.left} ?{self.right})"
 
 
-@dataclass(frozen=True)
-class Distinct:
+@distinct_by_type
+class Distinct(NamedTuple):
     left: str
     right: str
 
@@ -154,8 +170,7 @@ class Distinct:
         return f"(distinct ?{self.left} ?{self.right})"
 
 
-@dataclass(frozen=True)
-class OneOf:
+class OneOf(NamedTuple):
     options: tuple[Equal, ...]
 
     def __str__(self):
@@ -165,8 +180,7 @@ class OneOf:
 Constraint = Equal | Distinct | OneOf
 
 
-@dataclass(frozen=True)
-class FieldDefinition:
+class FieldDefinition(NamedTuple):
     """A lexical field: scheme, emphasis start, optional emphasis
     branches, and coreference constraints."""
 
@@ -177,16 +191,14 @@ class FieldDefinition:
     optional_branches: tuple[NodePath, ...] = ()
 
 
-@dataclass(frozen=True)
-class Referent:
+class Referent(NamedTuple):
     """An entity filling a variable, tagged with a semantic sort."""
 
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """Variable-to-referent assignment, in file order."""
 
     entries: tuple[tuple[str, Referent], ...]
@@ -201,8 +213,7 @@ class Binding:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed binding check; ``kind`` is machine-matchable."""
 
     kind: str  # missing-variable | constraint | sort-conflict

@@ -13,7 +13,7 @@ Serialization is canonical (single spaces) and invertible via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sexpr
 from .discourse import EmphasisQ
@@ -24,18 +24,22 @@ from .scheme import Binding
 RECIPIENT_ROLE = "recipient"
 
 
-@dataclass(frozen=True)
-class SplTerm:
-    """Typed plan term with ordered keyword slots."""
-
+class _SplFields(NamedTuple):
     head: str
     um_type: str
-    slots: tuple[tuple[str, "SplTerm | str"], ...] = ()
+    slots: tuple[tuple[str, "SplTerm | str"], ...]
 
-    def __post_init__(self):
-        for keyword, _ in self.slots:
+
+class SplTerm(_SplFields):
+    """Typed plan term with ordered keyword slots."""
+
+    __slots__ = ()
+
+    def __new__(cls, head: str, um_type: str, slots: tuple = ()):
+        for keyword, _ in slots:
             if not keyword.startswith(":"):
                 raise ValueError(f"slot keyword must start with ':': {keyword!r}")
+        return super().__new__(cls, head, um_type, slots)
 
     def slot(self, keyword: str) -> "SplTerm | str | None":
         for kw, filler in self.slots:

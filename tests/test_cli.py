@@ -151,6 +151,20 @@ def test_generate_refuses_emphatic_focus(capsys):
     assert "focus" in err
 
 
+def test_generate_refuses_a_misspelt_focus_role(capsys):
+    for decision in (["--emphasis-q", "emphatic"], ["--emphasis-q", "nonemphatic"],
+                     ["--script", SCRIPT]):
+        code, out, err = run(
+            capsys, "generate", "--verb", "schicken", "--bindings", BINDING_SEND,
+            *decision, "--focus", "recipent",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "emphase: error [generate]: the focus role must be a participant role "
+            "(actor, recipient, actee), got 'recipent'"
+        ]
+
+
 def test_generate_refuses_flag_plus_script(capsys):
     code, _out, err = run(
         capsys,
@@ -235,6 +249,43 @@ def test_missing_file_is_input_error(capsys):
     code, _out, err = run(capsys, "frame", "--field", "/no/such/file")
     assert code == 1
     assert "cannot read" in err
+
+
+# What a path flag names, and the error after "emphase: error [stage]: ".
+_UNREADABLE = {
+    "missing": "cannot read {path}: no such file",
+    "directory": "cannot read {path}: is a directory",
+    "dangling symlink": "cannot read {path}: dangling symbolic link",
+    "device": "cannot read {path}: not a regular file",
+    "empty file": "1:1: empty input",
+}
+
+
+@pytest.mark.parametrize("kind", list(_UNREADABLE))
+@pytest.mark.parametrize("argv, stage, parse_stage", [
+    (["frame", "--field"], "load", "frame"),
+    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"],
+     "binding", "binding"),
+], ids=["data-file", "bindings"])
+def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stage,
+                                              parse_stage):
+    path = {
+        "missing": tmp_path / "missing",
+        "directory": tmp_path,
+        "dangling symlink": tmp_path / "link",
+        "device": Path(os.devnull),
+        "empty file": tmp_path / "empty",
+    }[kind]
+    if kind == "dangling symlink":
+        path.symlink_to(tmp_path / "nowhere")
+    elif kind == "empty file":
+        path.write_text("")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    stage = parse_stage if kind == "empty file" else stage
+    assert err.splitlines() == [
+        f"emphase: error [{stage}]: " + _UNREADABLE[kind].format(path=path)
+    ]
 
 
 def test_plan_command(capsys):

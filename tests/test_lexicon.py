@@ -11,7 +11,11 @@ from emphase.errors import (
     UnclassifiedFormError,
 )
 from emphase.lexicon import (
+    AllOf,
+    AnyOf,
+    Negation,
     RoleMapRule,
+    RoleTest,
     evaluate_condition,
     match_verbs,
     parse_lexicon,
@@ -192,3 +196,12 @@ def test_lexicon_rejects_duplicate_patterns(bundle):
     text = entry.format("one") + entry.format("two")
     with pytest.raises(ParseError, match="patterns are keys"):
         parse_lexicon(text, bundle.field)
+
+
+def test_conditions_of_one_shape_differ_by_kind():
+    test = RoleTest("unblocked", "goal")
+    assert AllOf((test,)) != AnyOf((test,))
+    assert Negation(Negation(test)) != AllOf((test,))
+    assert AllOf((test,)) == AllOf((RoleTest("unblocked", "goal"),))
+    rules, _ = parse_process_rules("(process-rule t (and (unblocked goal)))")
+    assert rules != parse_process_rules("(process-rule t (or (unblocked goal)))")[0]

@@ -1,6 +1,10 @@
-"""The package's public surface is the one README "Library use" documents."""
+"""The package's public surface is the one README "Library use" documents,
+and importing it generates no code."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import emphase
@@ -23,3 +27,16 @@ def test_exports_are_the_documented_names():
     assert set(emphase.__all__) == names
     assert len(emphase.__all__) == len(names)
     assert all(hasattr(emphase, name) for name in names)
+
+
+def test_import_loads_no_code_generation_modules():
+    """No record type goes through ``dataclasses``, whose import also pulls
+    in ``inspect`` and ``ast``; ``-S`` keeps site packages from loading them."""
+    src = Path(emphase.__file__).resolve().parent.parent
+    probe = ("import sys, emphase.cli; "
+             "print(sorted({'ast', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from emphase import pipeline
+from emphase import lexicon, pipeline
 from emphase.cli import cmd_forms
 from emphase.discourse import EmphasisQ, parse_script, run_script
 from emphase.emphasis import Case, DirectCase, Oblique
@@ -77,6 +77,32 @@ def test_focus_on_actee_does_not_conflict(bundle, binding_send, script_path):
         bundle, "schicken", binding_send, script_state=state, focus_role="actee"
     )
     assert result.emphasis_q is EmphasisQ.EMPHATIC
+
+
+def test_focus_role_must_be_a_participant_role(bundle, binding_send):
+    for q in EmphasisQ:
+        with pytest.raises(InputError, match="'recipent'"):
+            generate(bundle, "schicken", binding_send, emphasis_q=q, focus_role="recipent")
+
+
+def test_repeated_generate_fills_no_role_map(bundle, binding_send, script_path, monkeypatch):
+    """Each frame keeps its recipient variable, and each pattern its
+    selection: a second request computes no participants."""
+    state = run_script(parse_script(read_data(script_path)))
+    requests = [{"script_state": state}] + [{"emphasis_q": q} for q in EmphasisQ]
+    for options in requests:
+        generate(bundle, "schicken", binding_send, **options)
+    calls, original = [], lexicon.participants
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "participants", counted)
+    monkeypatch.setattr(lexicon, "participants", counted)
+    for options in requests:
+        generate(bundle, "schicken", binding_send, **options)
+    assert calls == []
 
 
 def test_explicit_emphatic_focus_recipient_refused(bundle, binding_send):

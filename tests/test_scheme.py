@@ -10,6 +10,7 @@ from emphase.scheme import (
     Binding,
     Distinct,
     Equal,
+    FieldDefinition,
     OneOf,
     Referent,
     Variable,
@@ -251,12 +252,23 @@ def test_duplicate_binding_entry_rejected():
         parse_binding("(binding (ref ?a she person) (ref ?a she person))")
 
 
+def test_constraints_of_one_shape_differ_by_kind():
+    assert Equal("a", "b") != Distinct("a", "b")
+    assert not Equal("a", "b") == Distinct("a", "b")
+    assert Equal("a", "b") == Equal("a", "b")
+    assert {Equal("a", "b"): 1}.get(Distinct("a", "b")) is None
+    same = parse_field("(field f (scheme (have ?a ?b)) (emphasis-start ()) (coref (= ?a ?b)))")
+    other = parse_field(
+        "(field f (scheme (have ?a ?b)) (emphasis-start ()) (coref (distinct ?a ?b)))"
+    )
+    assert same != other
+    assert same == parse_field(print_field(same))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_validation_monotone_in_constraints(seed):
     """Adding constraints never removes a violation."""
-    from dataclasses import replace
-
     rng = random.Random(seed)
     fd = random_field(rng)
     if not fd.constraints:
@@ -266,7 +278,9 @@ def test_validation_monotone_in_constraints(seed):
         tuple((v, Referent(rng.choice(names), "thing")) for v in fd.scheme.variables)
     )
     cut = rng.randrange(len(fd.constraints))
-    smaller = replace(fd, constraints=fd.constraints[:cut])
+    smaller = FieldDefinition(
+        fd.name, fd.scheme, fd.emphasis_start, fd.constraints[:cut], fd.optional_branches
+    )
     fewer = {str(v) for v in validate_binding(smaller, binding)}
     more = {str(v) for v in validate_binding(fd, binding)}
     assert fewer <= more
