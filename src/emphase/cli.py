@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _realization_term(form: SemanticForm) -> list:
     entries: list = ["cases"]
-    for variable, _role in form.case_frame:
-        realization = form.realization.of(variable)
+    for variable, realization in form.realization.entries:
         if isinstance(realization, DirectCase):
             entries.append([variable, realization.case.value])
         elif isinstance(realization, Oblique):
@@ -206,9 +205,7 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             lines.append(f"  emphasis: {emphatic}")
             blocked = " ".join(sorted(form.blocking.blocked)) or "(none)"
             lines.append(f"  blocked: {blocked}")
-            cases = " ".join(
-                f"{v}={form.realization.of(v)}" for v, _ in form.case_frame
-            )
+            cases = " ".join(f"{v}={r}" for v, r in form.realization.entries)
             lines.append(f"  cases: {cases}")
             lines.append(
                 "  verbs: " + (", ".join(v.lemma for v in verbs) or "(none)")

@@ -234,10 +234,8 @@ def check_emphasis(field: FieldDefinition, assignment: EmphasisAssignment) -> li
 
 def emphatic_variables(scheme: Scheme, assignment: EmphasisAssignment) -> frozenset[str]:
     """Variables whose basic proposition is emphatic."""
-    return frozenset(
-        v
-        for v in scheme.variables
-        if scheme.variable_site(v)[0] in assignment.emphatic
+    return frozenset().union(
+        *(names for _, names in scheme.basic_variables(assignment.emphatic))
     )
 
 
@@ -245,16 +243,18 @@ def check_blocking(
     scheme: Scheme, emphasis: EmphasisAssignment, blocking: BlockingSet
 ) -> list[NodePath]:
     """Paths of emphatic basic propositions whose arguments are all
-    blocked; empty means the blocking set is admissible."""
-    table, blocked = scheme.path_variables, blocking.blocked
+    blocked, in path order; empty means the blocking set is admissible.
+
+    Only the emphatic basic propositions can offend; the scheme keeps
+    them per emphasis (``Scheme.basic_variables``), so a call is one
+    table lookup and one subset test for each of them.
+    """
+    blocked = blocking.blocked
     offending: list[NodePath] = []
-    for path in emphasis.emphatic:
-        names = table.get(path)
-        if names is None:
-            scheme.node_at(path)  # raises: the path leaves the scheme
-        elif names and names <= blocked:
+    for path, names in scheme.basic_variables(emphasis.emphatic):
+        if names <= blocked:
             offending.append(path)
-    return sorted(offending)
+    return offending
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +381,14 @@ def enumerate_semantic_forms(
     """Every (emphasis, blocking) pair that survives the blocking rule
     and case assignment, packaged as semantic forms in canonical order.
 
-    Every pair is visited and checked with ``check_blocking``; the case
-    assignment of a pair is decided without building its realization: a
-    verbalized non-emphatic role needs an oblique entry, and the direct
-    cases depend only on which emphatic roles stay unblocked, so they
-    are computed once per such set.
+    Every pair is visited and checked with ``check_blocking``, which
+    tests only the emphasis's basic propositions, read from the table
+    the scheme keeps per emphasis (``Scheme.basic_variables``; built
+    once per emphasis, by ``emphatic_variables``).  The case assignment
+    of a pair is decided without building its realization: a verbalized
+    non-emphatic role needs an oblique entry, and the direct cases
+    depend only on which emphatic roles stay unblocked, so they are
+    computed once per such set.
     """
     scheme = field.scheme
     forms: list[SemanticForm] = []

@@ -126,13 +126,17 @@ class Config:
         )
 
 
-def read_data(path: DataPath) -> str:
+def read_data(path: DataPath, stage: str | None = None) -> str:
+    """The text of a file.  A failed read is an ``InputError`` of ``stage``
+    when one is given (a data file of the bundle fails ``load``, whichever
+    command first needs it), else of the stage that reads the file."""
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
-        raise InputError(f"cannot read {path}: {err}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err  # no strerror on a decode error
+        failure = InputError(f"cannot read {path}: {reason}")
+        failure.stage = stage
+        raise failure from None
 
 
 class Bundle:
@@ -153,11 +157,11 @@ class Bundle:
 
     @cached_property
     def field(self) -> FieldDefinition:
-        return parse_field(read_data(self.config.field_path))
+        return parse_field(read_data(self.config.field_path, "load"))
 
     @cached_property
     def rule_table(self) -> RoleRuleTable:
-        return parse_rule_table(read_data(self.config.rules_path))
+        return parse_rule_table(read_data(self.config.rules_path, "load"))
 
     @cached_property
     def case_frame(self) -> CaseFrame:
@@ -165,15 +169,15 @@ class Bundle:
 
     @cached_property
     def oblique_table(self) -> ObliqueTable:
-        return parse_oblique_table(read_data(self.config.oblique_path))
+        return parse_oblique_table(read_data(self.config.oblique_path, "load"))
 
     @cached_property
     def priority(self) -> CasePriority:
-        return parse_case_priority(read_data(self.config.cases_path))
+        return parse_case_priority(read_data(self.config.cases_path, "load"))
 
     @cached_property
     def _process(self) -> tuple[list[ProcessRule], list[RoleMapRule]]:
-        return parse_process_rules(read_data(self.config.process_path))
+        return parse_process_rules(read_data(self.config.process_path, "load"))
 
     @property
     def process_rules(self) -> list[ProcessRule]:
@@ -185,19 +189,19 @@ class Bundle:
 
     @cached_property
     def upper_model(self) -> UpperModel:
-        return parse_upper_model(read_data(self.config.um_path))
+        return parse_upper_model(read_data(self.config.um_path, "load"))
 
     @cached_property
     def verbs(self) -> list[VerbEntry]:
-        return parse_lexicon(read_data(self.config.lexicon_path), self.field)
+        return parse_lexicon(read_data(self.config.lexicon_path, "load"), self.field)
 
     @cached_property
     def np_lexicon(self) -> NPLexicon:
-        return parse_np_lexicon(read_data(self.config.np_path))
+        return parse_np_lexicon(read_data(self.config.np_path, "load"))
 
     @cached_property
     def morph_table(self) -> MorphTable:
-        return parse_morph_table(read_data(self.config.morph_path))
+        return parse_morph_table(read_data(self.config.morph_path, "load"))
 
     def load_all(self) -> "Bundle":
         for piece in (

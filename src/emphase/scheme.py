@@ -113,6 +113,7 @@ class Scheme(_SchemeFields):
         check(root, ())
         self._nodes = nodes
         self._sites = sites
+        self._basic: dict[frozenset[NodePath], tuple] = {}  # basic_variables' table
         return self
 
     @cached_property
@@ -120,15 +121,22 @@ class Scheme(_SchemeFields):
         """All proposition paths, preorder."""
         return tuple(self._nodes)
 
-    @cached_property
-    def path_variables(self) -> dict[NodePath, frozenset[str]]:
-        """Variable names of the proposition at each path; empty for a
-        propositional node.  Built on first use, so parsing never pays
-        for it."""
-        return {
-            path: frozenset(v.name for v in node.variables)
-            for path, node in self._nodes.items()
-        }
+    def basic_variables(
+        self, paths: frozenset[NodePath]
+    ) -> tuple[tuple[NodePath, frozenset[str]], ...]:
+        """The basic propositions among ``paths``, in path order, each with
+        its variable names.  Built on the first request for a set and kept,
+        so a repeat is one dict hit; a path outside the scheme raises on
+        every request."""
+        table = self._basic.get(paths)
+        if table is None:
+            nodes = [(path, self.node_at(path)) for path in sorted(paths)]
+            table = self._basic[paths] = tuple(
+                (path, frozenset(v.name for v in node.variables))
+                for path, node in nodes
+                if node.is_basic
+            )
+        return table
 
     @cached_property
     def variables(self) -> tuple[str, ...]:

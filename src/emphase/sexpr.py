@@ -16,6 +16,7 @@ for any other, is decided here.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import TypeVar
 
 from .errors import ParseError
@@ -131,6 +132,7 @@ def _is_int(word: str) -> bool:
     return digits.isdigit() and digits.isascii()
 
 
+@lru_cache(maxsize=4096)  # the writer asks again for every repeated symbol
 def _symbol_ok(word: str) -> bool:
     # A symbol that would read back as an integer must not be written bare.
     return _DELIMS.isdisjoint(word) and word.split() == [word] and not _is_int(word)
@@ -150,7 +152,7 @@ def write(term: Term) -> str:
             raise ValueError(f"not writable as a bare symbol: {term!r}")
         return term
     if isinstance(term, (list, tuple)):
-        return "(" + " ".join(write(item) for item in term) + ")"
+        return "(" + " ".join([write(item) for item in term]) + ")"
     raise ValueError(f"not a term: {term!r}")
 
 

@@ -288,6 +288,32 @@ def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stag
     ]
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["frame", "--field"], "load"),
+    (["forms", "--format", "structured", "--field"], "load"),
+    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings",
+      BINDING_SEND, "--field"], "load"),
+    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"], "binding"),
+], ids=["frame", "forms", "generate", "bindings"])
+def test_a_file_that_cannot_be_read_names_why(capsys, monkeypatch, tmp_path, argv, stage):
+    # root reads a file whatever its mode, so the refusal is the read's own
+    path = tmp_path / "locked"
+    path.write_text("(field f (scheme (have ?x)) (emphasis-start ()))")
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied")
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"emphase: error [{stage}]: cannot read {path}: Permission denied"
+    ]
+
+
 def test_plan_command(capsys):
     code, out, _ = run(capsys, "plan", "--script", SCRIPT, "--referent", "him")
     assert code == 0

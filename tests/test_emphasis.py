@@ -139,8 +139,29 @@ def test_check_blocking_reports_in_path_order(field):
 
 def test_check_blocking_rejects_path_outside_scheme(field):
     emphasis = EmphasisAssignment(ACT | frozenset({(1, 7)}))
-    with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
-        check_blocking(field.scheme, emphasis, BlockingSet(frozenset()))
+    for _ in range(2):  # a failed lookup is not kept
+        with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
+            check_blocking(field.scheme, emphasis, BlockingSet(frozenset()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_emphatic_variables_and_blocking_match_their_definitions(seed):
+    rng = random.Random(seed)
+    fd = random_field(rng, random_scheme(rng))
+    scheme = fd.scheme
+    for emphasis in enumerate_emphasis(fd):
+        assert emphatic_variables(scheme, emphasis) == frozenset(
+            v for v in scheme.variables if scheme.variable_site(v)[0] in emphasis.emphatic
+        )
+        blocked = frozenset(v for v in scheme.variables if rng.random() < 0.5)
+        offending = sorted(
+            path
+            for path in emphasis.emphatic
+            if scheme.node_at(path).is_basic
+            and {v.name for v in scheme.node_at(path).variables} <= blocked
+        )
+        assert check_blocking(scheme, emphasis, BlockingSet(blocked)) == offending
 
 
 @pytest.mark.parametrize(

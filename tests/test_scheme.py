@@ -1,6 +1,7 @@
 """Field parsing, printing, node addressing, and binding validation."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,34 @@ def test_scheme_tables_match_a_plain_walk(seed):
             assert str(info.value) == expected
         else:
             assert scheme.node_at(path) is expected
+
+
+def _basic_walk(node, path=()) -> list:
+    """(path, variable names) of each basic proposition under ``node``."""
+    if isinstance(node.args[0], Variable):
+        return [(path, frozenset(a.name for a in node.args))]
+    return [b for i, a in enumerate(node.args) for b in _basic_walk(a, path + (i,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_basic_variables_match_a_plain_walk(seed):
+    rng = random.Random(seed)
+    scheme = random_field(rng).scheme
+    basic = sorted(_basic_walk(scheme.root))  # path order
+    for _ in range(6):
+        paths = frozenset(rng.sample(scheme.paths, rng.randint(0, len(scheme.paths))))
+        expected = tuple((path, names) for path, names in basic if path in paths)
+        assert scheme.basic_variables(paths) == expected
+        assert scheme.basic_variables(paths) == expected  # from the kept table
+
+
+def test_basic_variables_refuse_a_path_outside_the_scheme_every_time(field):
+    paths = frozenset({(0,), (1, 7)})
+    for _ in range(3):  # a failure is not kept
+        with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
+            field.scheme.basic_variables(paths)
+    assert field.scheme.basic_variables(frozenset({(0,), (1,)})) == (((0,), frozenset({"a"})),)
 
 
 def test_emphasis_start_out_of_range():
