@@ -10,8 +10,6 @@ Exit codes: 0 success, 1 input error, 2 rule gap (missing role rule,
 unclassified form, missing oblique entry or morphology).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from contextlib import contextmanager

@@ -12,8 +12,6 @@ are collapsed into this single given+hypertheme test; the statuses are
 not independently variable here.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 
@@ -43,6 +41,8 @@ class TextualStatus(NamedTuple):
 
 
 class EmphasisQ(Enum):
+    __hash__ = object.__hash__  # by identity, as for ``emphasis.Case``
+
     EMPHATIC = "emphatic"
     NONEMPHATIC = "nonemphatic"
 

@@ -21,8 +21,6 @@ argument (``check_blocking``); pairs that fail case assignment are
 skipped and counted during enumeration.
 """
 
-from __future__ import annotations
-
 import itertools
 from enum import Enum
 from functools import cached_property
@@ -41,6 +39,8 @@ from .scheme import FieldDefinition, NodePath, Scheme
 
 
 class Case(Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python code
+
     NOMINATIVE = "nominative"
     GENITIVE = "genitive"
     DATIVE = "dative"
@@ -118,9 +118,6 @@ class Realization(NamedTuple):
             if isinstance(r, DirectCase) and r.case is case
         )
 
-    def oblique_variables(self) -> tuple[str, ...]:
-        return tuple(v for v, r in self.entries if isinstance(r, Oblique))
-
 
 class _FormFields(NamedTuple):
     field_name: str
@@ -138,6 +135,14 @@ class SemanticForm(_FormFields):
     def _by_label(self) -> dict[str, str]:
         """The first variable of each role label, in case-frame order."""
         return {role.label: v for v, role in reversed(self.case_frame)}
+
+    @cached_property
+    def case_layout(self) -> tuple[tuple, ...]:
+        """The realized variables in case-frame order, grouped: one tuple per
+        direct case in ``Case`` order, then one of ``(variable, Oblique)``."""
+        realization = self.realization
+        obliques = tuple((v, r) for v, r in realization.entries if isinstance(r, Oblique))
+        return (*map(realization.variables_with, Case), obliques)
 
     def variable_with_label(self, label: str) -> str | None:
         return self._by_label.get(label)

@@ -13,8 +13,6 @@ from label priority lists.  Both the conditions and the participant
 maps are plain data so a field can correct them without code changes.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import sexpr

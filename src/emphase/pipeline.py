@@ -12,8 +12,6 @@ request, or from a discourse script via the textual planner), classify
 the form, emit the plan term, and realize the sentence.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from importlib import resources
 from importlib.abc import Traversable
@@ -320,12 +318,13 @@ def generate(
     focus_role: str | None = None,
 ) -> GenerationResult:
     """Run the whole pipeline for one verb and binding."""
-    roles = [rule.um_role for rule in bundle.role_maps]
-    if focus_role is not None and focus_role not in roles:
-        raise InputError(
-            f"the focus role must be a participant role ({', '.join(roles)}), "
-            f"got {focus_role!r}"
-        )
+    if focus_role is not None:
+        roles = [rule.um_role for rule in bundle.role_maps]
+        if focus_role not in roles:
+            raise InputError(
+                f"the focus role must be a participant role ({', '.join(roles)}), "
+                f"got {focus_role!r}"
+            )
     candidates = bundle.frames(lemma)
 
     effective_q = emphasis_q

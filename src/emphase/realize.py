@@ -13,14 +13,12 @@ and definiteness, or pronoun) inflected through determiner/pronoun
 form tables.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 
 from . import sexpr
 from .discourse import EmphasisQ
-from .emphasis import CASES, Case, Oblique, SemanticForm
+from .emphasis import CASES, Case, SemanticForm
 from .errors import (
     InputError,
     MissingMorphologyError,
@@ -32,12 +30,16 @@ from .scheme import Binding
 
 
 class Gender(Enum):
+    __hash__ = object.__hash__  # by identity, as for ``Case``
+
     MASCULINE = "masc"
     FEMININE = "fem"
     NEUTER = "neut"
 
 
 class Definiteness(Enum):
+    __hash__ = object.__hash__  # by identity, as for ``Case``
+
     DEFINITE = "def"
     INDEFINITE = "indef"
     PRONOUN = "pronoun"
@@ -105,7 +107,13 @@ def realize(
     morph_table: MorphTable,
     emphasis_q: EmphasisQ | None = None,
 ) -> str:
-    """Declarative sentence for a form its verb lexicalizes."""
+    """Declarative sentence for a form its verb lexicalizes.
+
+    The grouping of the form's variables by case is kept on the form
+    (``SemanticForm.case_layout``), so a form that persists, such as
+    each frame of a ``Bundle``, pays for it once; only the noun phrases
+    depend on the binding.
+    """
     if not verb.matches(form):
         raise InputError(
             f"verb {verb.lemma!r} does not lexicalize this form's pattern"
@@ -117,26 +125,19 @@ def realize(
             raise InputError(f"binding has no referent for variable {variable}")
         return inflect_np(np_spec_for(referent.name, case, np_lexicon), morph_table)
 
-    subjects = form.realization.variables_with(Case.NOMINATIVE)
+    subjects, genitives, datives, accusatives, obliques = form.case_layout
     if len(subjects) != 1:
         raise InputError("the template needs exactly one nominative participant")
-    if form.realization.variables_with(Case.GENITIVE):
+    if genitives:
         raise InputError("genitive participants are outside the template")
-    datives = form.realization.variables_with(Case.DATIVE)
-    accusatives = form.realization.variables_with(Case.ACCUSATIVE)
-    obliques = form.realization.oblique_variables()
 
     middle: list[tuple[str, str]] = []  # (variable, text)
     for v in datives:
         middle.append((v, np_text(v, Case.DATIVE)))
     for v in accusatives:
         middle.append((v, np_text(v, Case.ACCUSATIVE)))
-    for v in obliques:
-        oblique = form.realization.of(v)
-        assert isinstance(oblique, Oblique)
-        middle.append(
-            (v, f"{oblique.preposition} {np_text(v, oblique.governed)}")
-        )
+    for v, oblique in obliques:
+        middle.append((v, f"{oblique.preposition} {np_text(v, oblique.governed)}"))
 
     if emphasis_q is EmphasisQ.EMPHATIC:
         if not datives:

@@ -20,8 +20,6 @@ derivation time: adding a new field means deliberately extending the
 table.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import sexpr

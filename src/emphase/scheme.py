@@ -15,8 +15,6 @@ All values are immutable after construction; every operation here is a
 pure function.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from typing import NamedTuple
 

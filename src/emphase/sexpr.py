@@ -13,8 +13,6 @@ the end of this module, so the kind of term a slot takes, and the error
 for any other, is decided here.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache
 from typing import TypeVar

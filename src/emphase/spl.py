@@ -11,8 +11,6 @@ Serialization is canonical (single spaces) and invertible via
 ``parse_spl``.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import sexpr
@@ -81,17 +79,26 @@ def build_spl(
     return SplTerm(verb.event, selection.um_type, tuple(slots))
 
 
-def _term_to_sexpr(term: SplTerm) -> list:
-    out: list = [term.head, "/", term.um_type]
-    for keyword, filler in term.slots:
-        out.append(keyword)
-        out.append(_term_to_sexpr(filler) if isinstance(filler, SplTerm) else filler)
-    return out
-
-
 def serialize_spl(term: SplTerm) -> str:
-    """Canonical one-line text of the plan term."""
-    return sexpr.write(_term_to_sexpr(term))
+    """Canonical one-line text of the plan term, the text ``sexpr.write``
+    gives the term as a list.  It is written straight from the term: each
+    bare symbol's verdict is kept in ``sexpr``'s cache, so a repeat costs
+    one hit; any other atom, or an unwritable symbol, goes through
+    ``sexpr.write``, which quotes a ``QuotedString`` and raises
+    ``ValueError`` for what it cannot write."""
+    return _write(term)  # recursing below the public name: one traced call per plan
+
+
+def _write(term: SplTerm) -> str:
+    words = [_atom(term.head), "/", _atom(term.um_type)]
+    for keyword, filler in term.slots:
+        words.append(_atom(keyword))
+        words.append(_write(filler) if isinstance(filler, SplTerm) else _atom(filler))
+    return "(" + " ".join(words) + ")"
+
+
+def _atom(value) -> str:
+    return value if type(value) is str and sexpr._symbol_ok(value) else sexpr.write(value)
 
 
 def _term_from_sexpr(value) -> SplTerm:

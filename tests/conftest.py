@@ -6,6 +6,7 @@ import pytest
 
 from emphase.emphasis import BlockingSet, EmphasisAssignment
 from emphase.pipeline import Config, load_bundle, load_binding, read_data
+from emphase.spl import SplTerm
 
 # Emphasis chains of the change-of-possession scheme.
 ACT = frozenset({(0,)})
@@ -96,3 +97,12 @@ def verb_entry(bundle, lemma, pattern_name=None):
         if entry.emphasis == emphasis and entry.blocking == blocking:
             return entry
     raise AssertionError(f"no entry for {lemma} with pattern {pattern_name}")
+
+
+def plan_list(term) -> list:
+    """A plan term as the nested list ``sexpr.write`` writes, the reference
+    for ``serialize_spl``."""
+    out: list = [term.head, "/", term.um_type]
+    for keyword, filler in term.slots:
+        out += [keyword, plan_list(filler) if isinstance(filler, SplTerm) else filler]
+    return out

@@ -1,10 +1,13 @@
 """The package's public surface is the one README "Library use" documents,
 and importing it generates no code."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import emphase
@@ -40,3 +43,30 @@ def test_import_loads_no_code_generation_modules():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def _quoted_names(annotation) -> list:
+    """The strings and forward references an annotation holds, at any depth."""
+    if isinstance(annotation, (str, typing.ForwardRef)):
+        return [annotation]
+    return [name for arg in typing.get_args(annotation) for name in _quoted_names(arg)]
+
+
+def test_record_fields_are_annotated_with_evaluated_types():
+    """A quoted NamedTuple field annotation is compiled into a
+    ``ForwardRef`` when the class is defined, so only a type that is not
+    defined yet, such as a recursive one, is quoted."""
+    quoted = set()
+    for module_info in pkgutil.iter_modules(emphase.__path__):
+        module = importlib.import_module(f"emphase.{module_info.name}")
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+                    and cls.__module__ == module.__name__):
+                for field, annotation in cls.__dict__.get("__annotations__", {}).items():
+                    if _quoted_names(annotation):
+                        quoted.add(f"{module_info.name}.{name}.{field}")
+    # each names a recursive type, defined only after the record
+    assert quoted == {
+        "lexicon.AllOf.items", "lexicon.AnyOf.items", "lexicon.Negation.item",
+        "scheme.Proposition.args", "spl._SplFields.slots",
+    }

@@ -6,11 +6,18 @@ from collections import Counter
 
 import pytest
 
-from emphase import lexicon, pipeline
+from emphase import lexicon, pipeline, sexpr
 from emphase.cli import cmd_forms
 from emphase.discourse import EmphasisQ, parse_script, run_script
 from emphase.emphasis import Case, DirectCase, Oblique
-from emphase.errors import FocusConflictError, InputError, RuleGapError
+from emphase.errors import (
+    EmphaseError,
+    FocusConflictError,
+    InputError,
+    OrderingConflictError,
+    RuleGapError,
+    UnverbalizedRoleError,
+)
 from emphase.pipeline import (
     Config,
     check_bundle,
@@ -21,9 +28,10 @@ from emphase.pipeline import (
     read_data,
     recipient_variable,
 )
+from emphase.realize import inflect_np, np_spec_for, realize
 from emphase.spl import serialize_spl
 
-from conftest import PATTERNS
+from conftest import PATTERNS, plan_list
 
 
 def test_atlas_canonical_order_starts_with_dative_frame(atlas):
@@ -103,6 +111,114 @@ def test_repeated_generate_fills_no_role_map(bundle, binding_send, script_path, 
     for options in requests:
         generate(bundle, "schicken", binding_send, **options)
     assert calls == []
+
+
+def _reference_realize(form, verb, binding, np_lexicon, morph_table, emphasis_q=None):
+    """The sentence template read straight off ``form.realization.entries``,
+    with ``realize``'s errors in its order."""
+    if not verb.matches(form):
+        raise InputError(f"verb {verb.lemma!r} does not lexicalize this form's pattern")
+
+    def text(variable, case):
+        referent = binding.referent(variable)
+        if referent is None:
+            raise InputError(f"binding has no referent for variable {variable}")
+        return inflect_np(np_spec_for(referent.name, case, np_lexicon), morph_table)
+
+    entries = form.realization.entries
+    by_case = {case: [v for v, r in entries if r == DirectCase(case)] for case in Case}
+    if len(by_case[Case.NOMINATIVE]) != 1:
+        raise InputError("the template needs exactly one nominative participant")
+    if by_case[Case.GENITIVE]:
+        raise InputError("genitive participants are outside the template")
+    middle = [(v, text(v, case)) for case in (Case.DATIVE, Case.ACCUSATIVE)
+              for v in by_case[case]]
+    middle += [(v, f"{r.preposition} {text(v, r.governed)}")
+               for v, r in entries if isinstance(r, Oblique)]
+    if emphasis_q is EmphasisQ.EMPHATIC:
+        if not by_case[Case.DATIVE]:
+            raise OrderingConflictError(
+                "emphatic recipient status requires a dative participant")
+        if middle[-1][0] == by_case[Case.DATIVE][0]:
+            raise OrderingConflictError(
+                "the emphatic (dative) participant would end up in "
+                "clause-final focus position")
+    words = [text(by_case[Case.NOMINATIVE][0], Case.NOMINATIVE), verb.present_3sg]
+    words += [t for _, t in middle] + [verb.prefix] * bool(verb.prefix)
+    sentence = " ".join(words)
+    return sentence[0].upper() + sentence[1:] + "."
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except EmphaseError as err:
+        return type(err), str(err)
+    return result.sentence, result.plan
+
+
+def test_generate_equals_a_reference_built_from_the_realization_entries(
+    binding_send, binding_key, script_path, monkeypatch
+):
+    """Every lemma, both shipped bindings, each emphasis-q and script
+    state, focus on each participant role: the same sentence, plan text,
+    error type and message as a pipeline whose sentence is read off the
+    realization entries and whose plan is written as a list."""
+    scripts = [run_script(parse_script(read_data(script_path))),
+               run_script(parse_script("(sentence (mentions glassworks))"))]
+    actual_bundle = load_bundle(Config.default())
+    reference_bundle = load_bundle(Config.default())
+    lemmas = sorted({entry.lemma for entry in actual_bundle.verbs}) + ["geben"]
+    roles = [None, "recipent"] + [rule.um_role for rule in actual_bundle.role_maps]
+    options = [{}] + [{"emphasis_q": q} for q in EmphasisQ]
+    options += [{"script_state": state} for state in scripts]
+    compared = Counter()
+    for lemma in lemmas:
+        for binding in (binding_send, binding_key):
+            for option in options:
+                for role in roles:
+                    request = (lemma, binding)
+                    actual = _outcome(lambda: generate(
+                        actual_bundle, *request, focus_role=role, **option))
+                    with monkeypatch.context() as patched:
+                        patched.setattr(pipeline, "realize", _reference_realize)
+                        expected = _outcome(lambda: generate(
+                            reference_bundle, *request, focus_role=role, **option))
+                    if isinstance(actual[1], tuple):  # a plan term
+                        actual = actual[0], serialize_spl(actual[1])
+                        expected = expected[0], sexpr.write(plan_list(expected[1]))
+                    assert actual == expected, (lemma, option, role)
+                    compared[actual[0] if isinstance(actual[0], type) else str] += 1
+    assert set(compared) == {str, InputError, UnverbalizedRoleError, FocusConflictError}
+
+
+def test_realize_equals_the_reference_on_every_atlas_form(
+    bundle, atlas, binding_send, binding_key
+):
+    """Each form with its own verb and with the previous form's, both
+    bindings, each emphasis-q; ``realize`` is asked twice, the second time
+    with the form's case layout kept."""
+    def probe(form):
+        return lexicon.VerbEntry("probe", form.field_name, form.emphasis,
+                                 form.blocking, "probe", "probt", "ab")
+
+    compared = Counter()
+    for index, form in enumerate(atlas.forms):
+        for verb in (probe(form), probe(atlas.forms[index - 1])):
+            for binding in (binding_send, binding_key):
+                for q in (None, *EmphasisQ):
+                    outcomes = []
+                    for realizer in (realize, _reference_realize, realize):
+                        try:
+                            outcomes.append(realizer(form, verb, binding,
+                                                     bundle.np_lexicon,
+                                                     bundle.morph_table, q))
+                        except EmphaseError as err:
+                            outcomes.append((type(err), str(err)))
+                    assert outcomes[0] == outcomes[1] == outcomes[2], (form, verb, q)
+                    outcome = outcomes[0]
+                    compared[outcome[0] if isinstance(outcome, tuple) else str] += 1
+    assert set(compared) == {str, InputError, OrderingConflictError}
 
 
 def test_explicit_emphatic_focus_recipient_refused(bundle, binding_send):

@@ -3,7 +3,7 @@
 import pytest
 
 from emphase.discourse import EmphasisQ
-from emphase.emphasis import Case
+from emphase.emphasis import Case, DirectCase, Oblique, Realization
 from emphase.errors import (
     InputError,
     MissingMorphologyError,
@@ -195,3 +195,39 @@ def test_direct_cases_appear_with_their_assigned_case(bundle, atlas, binding_key
         for case in (Case.DATIVE, Case.ACCUSATIVE):
             for variable in form.realization.variables_with(case):
                 assert _np_text(bundle, binding_key, variable, case) in sentence
+
+
+def _recased(form, cases):
+    """``form`` with the direct cases of some variables replaced."""
+    entries = tuple((v, DirectCase(cases[v]) if v in cases else r)
+                    for v, r in form.realization.entries)
+    return form._replace(realization=Realization(entries))
+
+
+@pytest.mark.parametrize("cases, message", [
+    ({"a": Case.ACCUSATIVE}, "exactly one nominative"),
+    ({"a1": Case.NOMINATIVE}, "exactly one nominative"),
+    ({"a": Case.GENITIVE, "a1": Case.GENITIVE}, "exactly one nominative"),
+    ({"a1": Case.GENITIVE}, "genitive participants"),
+])
+def test_a_form_the_template_cannot_take_fails_every_time(
+    bundle, golden_forms, binding_send, cases, message
+):
+    # the dative frame of schicken: a nominative, a1 dative, a2 accusative
+    form = _recased(golden_forms["schicken-dative"], cases)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InputError, match=message) as caught:
+            realize(form, _synthetic_verb(form), binding_send,
+                    bundle.np_lexicon, bundle.morph_table)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def test_case_layout_groups_the_realization_in_case_frame_order(atlas):
+    for form in atlas.forms:
+        entries = form.realization.entries
+        obliques = tuple((v, r) for v, r in entries if isinstance(r, Oblique))
+        groups = tuple(form.realization.variables_with(case) for case in Case)
+        assert form.case_layout == (*groups, obliques)
+        assert form.case_layout is form.case_layout

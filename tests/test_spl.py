@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emphase import sexpr
 from emphase.discourse import EmphasisQ
 from emphase.errors import UnverbalizedRoleError
 from emphase.lexicon import select_process_type
+from emphase.sexpr import QuotedString
 from emphase.spl import SplTerm, build_spl, parse_spl, serialize_spl
 
 from bruteforce import random_spl_term
-from conftest import verb_entry
+from conftest import plan_list, verb_entry
 
 SEND_DATIVE_PLAN = """
 (send / directed-action
@@ -131,3 +133,58 @@ def test_parse_inverts_serialize_on_goldens():
 def test_round_trip_random_terms(seed):
     term = random_spl_term(random.Random(seed))
     assert parse_spl(serialize_spl(term)) == term
+
+
+# bare symbols of a plan term, from characters a symbol may hold; a word
+# of digits alone would read back as an integer
+_SYMBOLS = st.text("ab-?/:.é9*", min_size=1, max_size=6).filter(sexpr._symbol_ok)
+_PLAN_TERMS = st.recursive(
+    st.tuples(_SYMBOLS, _SYMBOLS).map(lambda parts: SplTerm(*parts)),
+    lambda inner: st.tuples(
+        _SYMBOLS,
+        _SYMBOLS,
+        st.lists(st.tuples(_SYMBOLS.map(lambda w: ":" + w), inner | _SYMBOLS),
+                 max_size=4).map(tuple),
+    ).map(lambda parts: SplTerm(*parts)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PLAN_TERMS)
+def test_serialize_writes_the_plan_as_a_list_and_parse_inverts_it(term):
+    text = serialize_spl(term)
+    assert text == sexpr.write(plan_list(term))
+    assert serialize_spl(term) == text
+    assert parse_spl(text) == term
+
+
+@pytest.mark.parametrize("word", ["a b", "x(", 'q"', "\u00a0", "12", "-3", ""])
+def test_unwritable_atoms_refused_every_time(word):
+    """Head, type, keyword and filler, at the top and one level down,
+    each written three times."""
+    def nested(term):
+        return SplTerm("e", "action", ((":k", term),))
+
+    keyword = ":" + word if not sexpr._symbol_ok(":" + word) else ":a b"
+    terms = []
+    for outer in (lambda term: term, nested):
+        terms += [
+            outer(SplTerm(word, "action")),
+            outer(SplTerm("e", word)),
+            outer(SplTerm("e", "action", ((keyword, "x"),))),
+            outer(SplTerm("e", "action", ((":k", word),))),
+        ]
+    for term in terms:
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not writable as a bare symbol"):
+                serialize_spl(term)
+
+
+def test_quoted_string_filler_written_quoted():
+    """Quoted even where its text would make a bare symbol."""
+    plain, escaped = QuotedString("an"), QuotedString('a "b" \\ c')
+    term = SplTerm("e", "action", ((":p", plain), (":k", SplTerm("x", "o", ((":q", escaped),)))))
+    text = serialize_spl(term)
+    assert text == '(e / action :p "an" :k (x / o :q "a \\"b\\" \\\\ c"))'
+    assert text == sexpr.write(plan_list(term))
