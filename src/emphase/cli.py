@@ -29,6 +29,7 @@ from .emphasis import DirectCase, Oblique, SemanticForm
 from .errors import EmphaseError, InputError, RuleGapError, UnclassifiedFormError
 from .lexicon import match_verbs
 from .pipeline import (
+    DATA_FILES,
     Bundle,
     Config,
     check_bundle,
@@ -39,19 +40,6 @@ from .pipeline import (
 )
 from .sexpr import QuotedString
 from .spl import serialize_spl
-
-_DATA_OPTIONS = (
-    ("--field", "field_path", "field definition file"),
-    ("--rules", "rules_path", "role-rule table"),
-    ("--oblique", "oblique_path", "oblique (preposition) table"),
-    ("--cases", "cases_path", "direct-case priority table"),
-    ("--process", "process_path", "process-type rules and role maps"),
-    ("--um", "um_path", "upper-model fragment"),
-    ("--lexicon", "lexicon_path", "verb lexicon"),
-    ("--np", "np_path", "NP lexicon"),
-    ("--morph", "morph_path", "determiner/pronoun morphology"),
-)
-
 
 @contextmanager
 def _stage(name: str):
@@ -65,8 +53,8 @@ def _stage(name: str):
 
 def _data_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    for flag, dest, help_text in _DATA_OPTIONS:
-        parent.add_argument(flag, dest=dest, metavar="PATH", help=help_text)
+    for f in DATA_FILES:
+        parent.add_argument(f.flag, dest=f.attribute, metavar="PATH", help=f.help)
     parent.add_argument(
         "--format",
         choices=("text", "structured"),
@@ -93,10 +81,10 @@ def _regular_file(value: str) -> Path:
 
 def _config_from(args: argparse.Namespace) -> Config:
     config = Config.default()
-    for _flag, dest, _help in _DATA_OPTIONS:
-        value = getattr(args, dest, None)
+    for f in DATA_FILES:
+        value = getattr(args, f.attribute, None)
         if value is not None:
-            setattr(config, dest, _regular_file(value))
+            setattr(config, f.attribute, _regular_file(value))
     return config
 
 
@@ -227,8 +215,6 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
 def _run_generation(args: argparse.Namespace, bundle: Bundle):
     with _stage("binding"):
         binding = load_binding(bundle, read_data(_regular_file(args.bindings)))
-    if args.script and args.emphasis_q:
-        raise InputError("give --emphasis-q or --script, not both")
     state = None
     if args.script:
         with _stage("plan"):

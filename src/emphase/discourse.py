@@ -127,9 +127,8 @@ def parse_script(text: str) -> list[SentenceUpdate]:
     return updates
 
 
-def run_script(
-    updates: list[SentenceUpdate], state: DiscourseState = EMPTY_STATE
-) -> DiscourseState:
+def run_script(updates: list[SentenceUpdate]) -> DiscourseState:
+    state = EMPTY_STATE
     for update in updates:
         state = update_discourse(state, update.mentions, update.hypertheme)
     return state

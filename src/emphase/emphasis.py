@@ -68,6 +68,14 @@ class BlockingSet(NamedTuple):
         return variable in self.blocked
 
 
+def pattern_text(emphasis: EmphasisAssignment, blocking: BlockingSet) -> str:
+    """A pattern as a lexicon entry writes it, ``(emphasis (0) (1 0)) (blocked ?a3)``;
+    paths hold integers and variables are bare symbols, so no ``sexpr.write``."""
+    paths = "".join(f" ({' '.join(map(str, p))})" for p in sorted(emphasis.emphatic))
+    blocked = "".join(f" ?{v}" for v in sorted(blocking.blocked))
+    return f"(emphasis{paths}) (blocked{blocked})"
+
+
 class DirectCase(NamedTuple):
     case: Case
 

@@ -21,6 +21,7 @@ from .emphasis import (
     EmphasisAssignment,
     SemanticForm,
     check_emphasis,
+    pattern_text,
 )
 from .errors import (
     AmbiguousProcessError,
@@ -298,8 +299,7 @@ def select_process_type(
     if not matches:
         raise UnclassifiedFormError(
             "no process-type rule matches the form "
-            f"(emphasis {sorted(map(list, form.emphasis.emphatic))}, "
-            f"blocked {sorted(form.blocking.blocked)})"
+            + pattern_text(form.emphasis, form.blocking)
         )
     if len(matches) > 1:
         raise OverlappingRulesError(

@@ -6,10 +6,10 @@ fragment, verb lexicon, NP lexicon, and morphology.  The default
 configuration points at the shipped change-of-possession data, so the
 CLI works out of the box.
 
-``generate`` drives the full pipeline for one verb: validate the
-binding, pick the frame (directly, by an explicit emphatic/nonemphatic
-request, or from a discourse script via the textual planner), classify
-the form, emit the plan term, and realize the sentence.
+``generate`` drives the full pipeline for one verb: pick the frame
+(directly, or by the emphasis-q it realizes, which comes from an
+explicit emphatic/nonemphatic request or from a discourse script, not
+both), classify the form, emit the plan term, and realize the sentence.
 """
 
 from functools import cached_property
@@ -18,7 +18,6 @@ from importlib.abc import Traversable
 from pathlib import Path
 from typing import NamedTuple
 
-from . import sexpr
 from .discourse import DiscourseState, EmphasisQ, decide_emphasis_q, status_of
 from .emphasis import (
     BlockingSet,
@@ -36,6 +35,7 @@ from .emphasis import (
     enumerate_semantic_forms,
     parse_case_priority,
     parse_oblique_table,
+    pattern_text,
 )
 from .errors import (
     FocusConflictError,
@@ -85,43 +85,58 @@ from .spl import RECIPIENT_ROLE, SplTerm, build_spl
 DataPath = Path | Traversable
 
 Pattern = tuple[EmphasisAssignment, BlockingSet]
-# a lexicon entry, the form it lexicalizes, and the form's recipient variable
-Frame = tuple[VerbEntry, SemanticForm, str | None]
+
+
+class Frame(NamedTuple):
+    """A lexicon entry, the form it lexicalizes, its recipient variable, and the
+    emphasis-q it realizes: EMPHATIC by dative, NONEMPHATIC by oblique, else None."""
+
+    entry: VerbEntry
+    form: SemanticForm
+    recipient: str | None
+    emphasis_q: EmphasisQ | None
+
+
+class DataFile(NamedTuple):
+    """A data file: ``Config`` attribute, CLI flag, shipped file under ``data/``, help."""
+
+    attribute: str
+    flag: str
+    shipped: str
+    help: str
+
+
+DATA_FILES = (
+    DataFile("field_path", "--field", "fields/change-of-possession.field",
+             "field definition file"),
+    DataFile("rules_path", "--rules", "rules/change-of-possession.rules", "role-rule table"),
+    DataFile("oblique_path", "--oblique", "rules/change-of-possession.oblique",
+             "oblique (preposition) table"),
+    DataFile("cases_path", "--cases", "rules/change-of-possession.cases",
+             "direct-case priority table"),
+    DataFile("process_path", "--process", "rules/change-of-possession.process",
+             "process-type rules and role maps"),
+    DataFile("um_path", "--um", "upper-model.um", "upper-model fragment"),
+    DataFile("lexicon_path", "--lexicon", "lexicon/change-of-possession.lex", "verb lexicon"),
+    DataFile("np_path", "--np", "lexicon/nps.lex", "NP lexicon"),
+    DataFile("morph_path", "--morph", "lexicon/morphology.lex",
+             "determiner/pronoun morphology"),
+)
 
 
 class Config:
-    """Paths of the nine data files: the one mutable record, so that a
-    caller can point any of them elsewhere."""
+    """Paths of the nine ``DATA_FILES``, by attribute: the one mutable
+    record, so that a caller can point any of them elsewhere."""
 
-    def __init__(
-        self, field_path: DataPath, rules_path: DataPath, oblique_path: DataPath,
-        cases_path: DataPath, process_path: DataPath, um_path: DataPath,
-        lexicon_path: DataPath, np_path: DataPath, morph_path: DataPath,
-    ):
-        self.field_path = field_path
-        self.rules_path = rules_path
-        self.oblique_path = oblique_path
-        self.cases_path = cases_path
-        self.process_path = process_path
-        self.um_path = um_path
-        self.lexicon_path = lexicon_path
-        self.np_path = np_path
-        self.morph_path = morph_path
+    def __init__(self, **paths: DataPath):
+        if paths.keys() != {f.attribute for f in DATA_FILES}:
+            raise TypeError(f"Config takes exactly the DATA_FILES attributes, got {sorted(paths)}")
+        vars(self).update(paths)
 
     @classmethod
     def default(cls) -> "Config":
         data = resources.files(__package__) / "data"
-        return cls(
-            field_path=data / "fields" / "change-of-possession.field",
-            rules_path=data / "rules" / "change-of-possession.rules",
-            oblique_path=data / "rules" / "change-of-possession.oblique",
-            cases_path=data / "rules" / "change-of-possession.cases",
-            process_path=data / "rules" / "change-of-possession.process",
-            um_path=data / "upper-model.um",
-            lexicon_path=data / "lexicon" / "change-of-possession.lex",
-            np_path=data / "lexicon" / "nps.lex",
-            morph_path=data / "lexicon" / "morphology.lex",
-        )
+        return cls(**{f.attribute: data / f.shipped for f in DATA_FILES})
 
 
 def read_data(path: DataPath, stage: str | None = None) -> str:
@@ -233,15 +248,13 @@ class Bundle:
         return atlas
 
     def frames(self, lemma: str) -> list[Frame]:
-        """Each lexicon entry of ``lemma`` with the form it lexicalizes and
-        that form's recipient variable."""
+        """The frame of each lexicon entry of ``lemma``."""
         frames = self._frames.get(lemma)
         if frames is None:
             entries = [e for e in self.verbs if e.lemma == lemma]
             if not entries:
                 raise InputError(f"no lexicon entry for verb {lemma!r}")
-            forms = [(e, form_for_entry(self, e)) for e in entries]
-            frames = [(e, f, recipient_variable(f, self.role_maps)) for e, f in forms]
+            frames = [frame_for_entry(self, e) for e in entries]
             self._frames[lemma] = frames
         return frames
 
@@ -300,6 +313,16 @@ def recipient_variable(form: SemanticForm, role_maps: list[RoleMapRule]) -> str 
     return next((v for role, v in participants(form, role_maps) if role == RECIPIENT_ROLE), None)
 
 
+def frame_for_entry(bundle: Bundle, entry: VerbEntry) -> Frame:
+    form = form_for_entry(bundle, entry)
+    recipient = recipient_variable(form, bundle.role_maps)
+    realization = None if recipient is None else form.realization.of(recipient)
+    if realization == DirectCase(Case.DATIVE):
+        return Frame(entry, form, recipient, EmphasisQ.EMPHATIC)
+    emphasis_q = EmphasisQ.NONEMPHATIC if isinstance(realization, Oblique) else None
+    return Frame(entry, form, recipient, emphasis_q)
+
+
 class GenerationResult(NamedTuple):
     verb: VerbEntry
     form: SemanticForm
@@ -317,7 +340,10 @@ def generate(
     script_state: DiscourseState | None = None,
     focus_role: str | None = None,
 ) -> GenerationResult:
-    """Run the whole pipeline for one verb and binding."""
+    """Run the whole pipeline for one verb and binding; the emphasis-q
+    comes from ``emphasis_q`` or from ``script_state``, not both."""
+    if emphasis_q is not None and script_state is not None:
+        raise InputError("give --emphasis-q or a discourse script, not both")
     if focus_role is not None:
         roles = [rule.um_role for rule in bundle.role_maps]
         if focus_role not in roles:
@@ -329,25 +355,17 @@ def generate(
 
     effective_q = emphasis_q
     if script_state is not None:
-        recipient_referents = {
-            binding.referent(var).name
-            for _, _, var in candidates
-            if var is not None and binding.referent(var) is not None
-        }
-        if recipient_referents:
-            if len(recipient_referents) > 1:
-                raise InputError(
-                    "frames disagree about the recipient referent: "
-                    + ", ".join(sorted(recipient_referents))
-                )
-            status = status_of(
-                script_state,
-                next(iter(recipient_referents)),
-                in_focus=focus_role == RECIPIENT_ROLE,
+        referents = (binding.referent(f.recipient) for f in candidates if f.recipient is not None)
+        recipient_referents = {r.name for r in referents if r is not None}
+        if len(recipient_referents) > 1:
+            raise InputError(
+                "frames disagree about the recipient referent: "
+                + ", ".join(sorted(recipient_referents))
             )
-            effective_q = decide_emphasis_q(status)
-        else:
-            effective_q = None
+        if recipient_referents:
+            (referent,) = recipient_referents
+            in_focus = focus_role == RECIPIENT_ROLE
+            effective_q = decide_emphasis_q(status_of(script_state, referent, in_focus))
     elif effective_q is EmphasisQ.EMPHATIC and focus_role == RECIPIENT_ROLE:
         raise FocusConflictError(
             "an emphatic participant cannot take the focus position, "
@@ -355,32 +373,20 @@ def generate(
         )
 
     if len(candidates) == 1:
-        entry, form, _ = candidates[0]
+        chosen = candidates[0]
     else:
         if effective_q is None:
             raise InputError(
                 f"verb {lemma!r} has several frames; decide with "
                 "--emphasis-q or a discourse script"
             )
-        chosen = None
-        for e, form, var in candidates:
-            if var is None:
-                continue
-            realization = form.realization.of(var)
-            if effective_q is EmphasisQ.EMPHATIC and (
-                isinstance(realization, DirectCase) and realization.case is Case.DATIVE
-            ):
-                chosen = (e, form)
-                break
-            if effective_q is EmphasisQ.NONEMPHATIC and isinstance(realization, Oblique):
-                chosen = (e, form)
-                break
+        chosen = next((f for f in candidates if f.emphasis_q is effective_q), None)
         if chosen is None:
             raise InputError(
                 f"no frame of {lemma!r} realizes the recipient "
                 f"{'with dative case' if effective_q is EmphasisQ.EMPHATIC else 'obliquely'}"
             )
-        entry, form = chosen
+    entry, form = chosen.entry, chosen.form
 
     selection = bundle.selection(form)
     plan = build_spl(form, selection, entry, binding, effective_q)
@@ -430,11 +436,7 @@ def check_bundle(bundle: Bundle) -> CheckReport:
 
     atlas = bundle.atlas
     for entry in bundle.verbs:
-        pattern = (
-            ["emphasis"] + [list(p) for p in sorted(entry.emphasis.emphatic)],
-            ["blocked"] + sorted("?" + v for v in entry.blocking.blocked),
-        )
-        name = f"verb {entry.lemma!r} " + " ".join(map(sexpr.write, pattern))
+        name = f"verb {entry.lemma!r} " + pattern_text(entry.emphasis, entry.blocking)
         _, outcome = atlas.get((entry.emphasis, entry.blocking), (None, None))
         if outcome is None:
             input_problems.append(f"{name} names a pattern outside the atlas")

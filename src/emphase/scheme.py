@@ -222,7 +222,7 @@ class Binding(NamedTuple):
 class Violation(NamedTuple):
     """One failed binding check; ``kind`` is machine-matchable."""
 
-    kind: str  # missing-variable | constraint | sort-conflict
+    kind: str  # unknown-variable | missing-variable | constraint | sort-conflict
     message: str
 
     def __str__(self):
@@ -410,6 +410,9 @@ def validate_binding(fd: FieldDefinition, binding: Binding) -> list[Violation]:
     completed = complete_binding(fd, binding).as_dict()
     violations: list[Violation] = []
 
+    for v, _ in binding.entries:
+        if v not in fd.scheme.variables:
+            violations.append(Violation("unknown-variable", f"?{v} is not a field variable"))
     for v in fd.scheme.variables:
         if v not in completed:
             violations.append(Violation("missing-variable", f"?{v} is not bound"))

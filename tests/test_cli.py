@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import emphase
 from emphase import sexpr
-from emphase.cli import main
-from emphase.pipeline import Config
+from emphase.cli import _data_parent, main
+from emphase.pipeline import DATA_FILES, Config
 
 from bruteforce import random_term
 
@@ -166,13 +166,15 @@ def test_generate_refuses_a_misspelt_focus_role(capsys):
 
 
 def test_generate_refuses_flag_plus_script(capsys):
-    code, _out, err = run(
+    code, out, err = run(
         capsys,
         "generate", "--verb", "schicken", "--bindings", BINDING_SEND,
         "--script", SCRIPT, "--emphasis-q", "emphatic",
     )
-    assert code == 1
-    assert "not both" in err
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "emphase: error [generate]: give --emphasis-q or a discourse script, not both"
+    ]
 
 
 def test_generate_unknown_verb(capsys):
@@ -243,6 +245,27 @@ def test_bad_binding_rejected(capsys, tmp_path):
     )
     assert code == 1
     assert "binding" in err and "distinct" in err
+
+
+def test_binding_for_an_unknown_variable_rejected(capsys, tmp_path):
+    ghost = tmp_path / "ghost.binding"
+    ghost.write_text(Path(BINDING_SEND).read_text().replace(
+        "(ref ?a4 invitation object)", "(ref ?a4 invitation object)\n  (ref ?zz ghost person)"
+    ))
+    code, out, err = run(
+        capsys, "generate", "--verb", "schicken", "--bindings", str(ghost),
+        "--emphasis-q", "emphatic",
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "emphase: error [binding]: binding rejected: ?zz is not a field variable"
+    ]
+
+
+def test_data_flags_are_the_data_files():
+    flags = [(a.option_strings, a.dest, a.help) for a in _data_parent()._actions
+             if a.metavar == "PATH"]
+    assert flags == [([f.flag], f.attribute, f.help) for f in DATA_FILES]
 
 
 def test_missing_file_is_input_error(capsys):
@@ -408,6 +431,20 @@ def test_check_names_each_faulty_entry_by_its_pattern(capsys, tmp_path):
         "problem: verb 'schicken' (emphasis (0) (1) (1 1) (1 1 0) (1 1 0 0)) "
         "(blocked ?a2 ?a3): participant map is not injective over verbalized roles",
     ]
+
+
+def test_check_writes_an_unclassified_pattern_as_it_names_the_entry(capsys, tmp_path):
+    process = tmp_path / "no-directed.process"
+    shipped = Path(data_path("rules", "change-of-possession.process")).read_text()
+    process.write_text(shipped.replace(
+        "(process-rule directed-action\n  (and (unblocked agens) (unblocked goal)))", ""
+    ))
+    code, out, _ = run(capsys, "check", "--process", str(process))
+    assert code == 1
+    pattern = "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
+    assert (
+        f"problem: verb 'schicken' {pattern}: no process-type rule matches the form {pattern}"
+    ) in out.splitlines()
 
 
 def _ambiguous_bundle(tmp_path) -> list[str]:

@@ -21,6 +21,7 @@ from emphase.emphasis import (
     emphatic_variables,
     enumerate_emphasis,
     enumerate_semantic_forms,
+    pattern_text,
 )
 from emphase.errors import (
     CaseAssignmentError,
@@ -30,6 +31,7 @@ from emphase.errors import (
 )
 from emphase.pipeline import Config, load_bundle
 from emphase.scheme import parse_field
+from emphase.sexpr import write
 
 from bruteforce import (
     emphasis_oracle,
@@ -333,6 +335,16 @@ def test_every_pair_accounted_for_on_random_fields(seed, monkeypatch):
 def test_blocking_everything_kills_every_form(bundle, atlas):
     all_blocked = frozenset(bundle.field.scheme.variables)
     assert not [f for f in atlas.forms if f.blocking.blocked == all_blocked]
+
+
+def test_pattern_text_is_the_written_pattern_terms(bundle, atlas):
+    patterns = [(f.emphasis, f.blocking) for f in atlas.forms]
+    patterns += [(EmphasisAssignment(frozenset({()})), BlockingSet(frozenset())),
+                 (EmphasisAssignment(frozenset()), BlockingSet(frozenset({"a"})))]
+    for emphasis, blocking in patterns:
+        terms = (["emphasis"] + [list(p) for p in sorted(emphasis.emphatic)],
+                 ["blocked"] + sorted("?" + v for v in blocking.blocked))
+        assert pattern_text(emphasis, blocking) == " ".join(map(write, terms))
 
 
 def test_enumeration_is_deterministic():

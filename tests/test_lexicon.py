@@ -123,6 +123,16 @@ def test_unmatched_form_raises_unclassified(bundle, forms_by_pattern):
         )
 
 
+def test_unclassified_form_names_its_pattern_as_a_lexicon_entry_does(bundle, golden_forms):
+    rules = [r for r in bundle.process_rules if r.um_type != "directed-action"]
+    with pytest.raises(UnclassifiedFormError) as raised:
+        select_process_type(golden_forms["schicken-dative"], rules, bundle.role_maps)
+    assert str(raised.value) == (
+        "no process-type rule matches the form "
+        "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
+    )
+
+
 def test_rules_disjoint_over_whole_atlas(bundle, atlas):
     for form in atlas.forms:
         matches = [

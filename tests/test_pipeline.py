@@ -19,7 +19,9 @@ from emphase.errors import (
     UnverbalizedRoleError,
 )
 from emphase.pipeline import (
+    DATA_FILES,
     Config,
+    Frame,
     check_bundle,
     form_for_entry,
     generate,
@@ -51,6 +53,24 @@ def test_recipient_variable_per_frame(bundle, golden_forms):
     assert recipient_variable(golden_forms["verlieren"], bundle.role_maps) is None
 
 
+def test_each_frame_keeps_the_emphasis_q_it_realizes(bundle):
+    kept = {}
+    for lemma in ("schicken", "verlieren", "wegwerfen"):
+        frames = bundle.frames(lemma)
+        assert bundle.frames(lemma) is frames
+        for frame in frames:
+            assert isinstance(frame, Frame)
+            name = next(n for n, p in PATTERNS.items()
+                        if p == (frame.entry.emphasis, frame.entry.blocking))
+            kept[name] = frame.recipient, frame.emphasis_q
+    assert kept == {
+        "schicken-dative": ("a1", EmphasisQ.EMPHATIC),
+        "schicken-oblique": ("a1", EmphasisQ.NONEMPHATIC),
+        "verlieren": (None, None),
+        "wegwerfen": (None, None),
+    }
+
+
 def test_generate_picks_frame_by_emphasis(bundle, binding_send):
     emphatic = generate(bundle, "schicken", binding_send, emphasis_q=EmphasisQ.EMPHATIC)
     assert emphatic.form.realization.of("a1") == DirectCase(Case.DATIVE)
@@ -77,6 +97,16 @@ def test_script_state_drives_frame_choice(bundle, binding_send, script_path):
     result = generate(bundle, "schicken", binding_send, script_state=state)
     assert result.emphasis_q is EmphasisQ.EMPHATIC
     assert result.sentence == "Er schickt ihm eine Einladung."
+
+
+def test_generate_refuses_an_emphasis_q_with_a_script_state(bundle, binding_send,
+                                                           script_path):
+    states = [run_script(parse_script(read_data(script_path))),
+              run_script(parse_script("(sentence (mentions glassworks))"))]
+    for state in states:
+        for q in EmphasisQ:
+            with pytest.raises(InputError, match="not both"):
+                generate(bundle, "schicken", binding_send, emphasis_q=q, script_state=state)
 
 
 def test_focus_on_actee_does_not_conflict(bundle, binding_send, script_path):
@@ -352,6 +382,18 @@ def test_bad_entry_fails_every_call_and_only_its_lemma(tmp_path, binding_key):
             generate(bundle, "zerfallen", binding_key)
         result = generate(bundle, "wegwerfen", binding_key)
         assert result.sentence == "Sie wirft den Schlüssel weg."
+
+
+def test_config_takes_exactly_the_nine_data_file_keywords():
+    paths = vars(Config.default())
+    assert list(paths) == [f.attribute for f in DATA_FILES] and len(paths) == 9
+    assert vars(Config(**paths)) == paths
+    missing = {name: path for name, path in paths.items() if name != "np_path"}
+    for wrong in (missing, {**paths, "font_path": paths["np_path"]}, {}):
+        with pytest.raises(TypeError):
+            Config(**wrong)
+    with pytest.raises(TypeError):
+        Config(*paths.values())
 
 
 def test_default_config_paths_readable():

@@ -257,6 +257,17 @@ def test_missing_variables_reported_each(field):
     assert len(missing) == 4
 
 
+def test_unknown_variable_reported(field):
+    binding = parse_binding(
+        """(binding (ref ?a she person) (ref ?a1 x1 person) (ref ?a2 key object)
+                    (ref ?a3 she person) (ref ?a4 key object) (ref ?zz ghost person))"""
+    )
+    violations = validate_binding(field, binding)
+    assert [(v.kind, str(v)) for v in violations] == [
+        ("unknown-variable", "?zz is not a field variable")
+    ]
+
+
 def test_sort_conflict_reported(field):
     binding = parse_binding(
         """(binding (ref ?a she person) (ref ?a1 x1 person) (ref ?a2 key object)
