@@ -170,17 +170,15 @@ class SemanticForm(_FormFields):
 
 
 def _chains_from(scheme: Scheme, path: NodePath) -> list[frozenset[NodePath]]:
-    """All emphasis chains rooted at ``path``: the node itself plus a
-    chain through exactly one propositional argument, recursively."""
-    node = scheme.node_at(path)
-    children = node.child_indices()
-    if not children:
-        return [frozenset((path,))]
-    chains: list[frozenset[NodePath]] = []
-    for i in children:
-        for sub in _chains_from(scheme, path + (i,)):
-            chains.append(frozenset((path,)) | sub)
-    return chains
+    """All emphasis chains rooted at ``path``, in preorder: one per basic
+    proposition under it, holding every path from ``path`` down to it."""
+    scheme.node_at(path)  # a path outside the scheme raises SchemeError
+    start = len(path)
+    return [
+        frozenset(basic[:depth] for depth in range(start, len(basic) + 1))
+        for basic in scheme.paths
+        if basic[:start] == path and scheme.node_at(basic).is_basic
+    ]
 
 
 def enumerate_emphasis(field: FieldDefinition) -> list[EmphasisAssignment]:

@@ -97,14 +97,13 @@ def parse_lexicon(text: str, field: FieldDefinition) -> list[VerbEntry]:
             else:
                 values[head] = sexpr.symbol(rest[0], slot)
 
-        field_name = values.get("field")
-        if field_name != field.name:
+        if not {"field", "emphasis", "blocked", "event", "present-3sg"} <= values.keys():
             raise ParseError(
-                f"verb {lemma!r} names field {field_name!r}, expected {field.name!r}"
+                f"verb {lemma!r} needs field, emphasis, blocked, event and present-3sg clauses"
             )
-        if not {"emphasis", "blocked", "event", "present-3sg"} <= values.keys():
+        if values["field"] != field.name:
             raise ParseError(
-                f"verb {lemma!r} needs emphasis, blocked, event and present-3sg clauses"
+                f"verb {lemma!r} names field {values['field']!r}, expected {field.name!r}"
             )
         emphasis, blocked = values["emphasis"], values["blocked"]
         problems = check_emphasis(field, emphasis)

@@ -6,10 +6,10 @@ fragment, verb lexicon, NP lexicon, and morphology.  The default
 configuration points at the shipped change-of-possession data, so the
 CLI works out of the box.
 
-``generate`` drives the full pipeline for one verb: pick the frame
-(directly, or by the emphasis-q it realizes, which comes from an
-explicit emphatic/nonemphatic request or from a discourse script, not
-both), classify the form, emit the plan term, and realize the sentence.
+``generate`` drives the full pipeline for one verb: pick the frame that
+realizes the emphasis-q (from an explicit emphatic/nonemphatic request
+or from a discourse script, not both; with none, the lemma's only
+frame), classify the form, emit the plan term, and realize the sentence.
 """
 
 from functools import cached_property
@@ -309,13 +309,11 @@ def form_for_entry(bundle: Bundle, entry: VerbEntry) -> SemanticForm:
     )
 
 
-def recipient_variable(form: SemanticForm, role_maps: list[RoleMapRule]) -> str | None:
-    return next((v for role, v in participants(form, role_maps) if role == RECIPIENT_ROLE), None)
-
-
 def frame_for_entry(bundle: Bundle, entry: VerbEntry) -> Frame:
     form = form_for_entry(bundle, entry)
-    recipient = recipient_variable(form, bundle.role_maps)
+    recipient = next(
+        (v for role, v in participants(form, bundle.role_maps) if role == RECIPIENT_ROLE), None
+    )
     realization = None if recipient is None else form.realization.of(recipient)
     if realization == DirectCase(Case.DATIVE):
         return Frame(entry, form, recipient, EmphasisQ.EMPHATIC)
@@ -364,22 +362,20 @@ def generate(
             )
         if recipient_referents:
             (referent,) = recipient_referents
-            in_focus = focus_role == RECIPIENT_ROLE
-            effective_q = decide_emphasis_q(status_of(script_state, referent, in_focus))
-    elif effective_q is EmphasisQ.EMPHATIC and focus_role == RECIPIENT_ROLE:
+            effective_q = decide_emphasis_q(status_of(script_state, referent))
+    if effective_q is EmphasisQ.EMPHATIC and focus_role == RECIPIENT_ROLE:
         raise FocusConflictError(
             "an emphatic participant cannot take the focus position, "
             "which is reserved for new, non-thematic information"
         )
 
-    if len(candidates) == 1:
-        chosen = candidates[0]
+    if len(candidates) == 1 and (effective_q is None or candidates[0].emphasis_q is None):
+        chosen = candidates[0]  # build_spl refuses an emphasis-q if no recipient is verbalized
+    elif effective_q is None:
+        raise InputError(
+            f"verb {lemma!r} has several frames; decide with --emphasis-q or a discourse script"
+        )
     else:
-        if effective_q is None:
-            raise InputError(
-                f"verb {lemma!r} has several frames; decide with "
-                "--emphasis-q or a discourse script"
-            )
         chosen = next((f for f in candidates if f.emphasis_q is effective_q), None)
         if chosen is None:
             raise InputError(
@@ -437,18 +433,24 @@ def check_bundle(bundle: Bundle) -> CheckReport:
     atlas = bundle.atlas
     for entry in bundle.verbs:
         name = f"verb {entry.lemma!r} " + pattern_text(entry.emphasis, entry.blocking)
-        _, outcome = atlas.get((entry.emphasis, entry.blocking), (None, None))
-        if outcome is None:
-            input_problems.append(f"{name} names a pattern outside the atlas")
-        elif entry.declared_um is None:
+        try:
+            form_for_entry(bundle, entry)
+        except InputError as err:
+            input_problems.append(f"{name}: {err}")
             continue
-        elif isinstance(outcome, RuleGapError):
+        except RuleGapError as err:
+            rule_gaps.append(f"{name}: {err}")
+            continue
+        if entry.declared_um is None:
+            continue
+        _, outcome = atlas[entry.emphasis, entry.blocking]
+        if isinstance(outcome, RuleGapError):
             input_problems.append(f"{name}: {outcome}")
         elif outcome.um_type != entry.declared_um:
             input_problems.append(
                 f"{name} declares {entry.declared_um} but classifies as {outcome.um_type}"
             )
-    if not input_problems:
+    if not input_problems and not rule_gaps:
         lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
     overlaps = [str(o) for _, o in atlas.values() if isinstance(o, OverlappingRulesError)]

@@ -151,6 +151,29 @@ def test_generate_refuses_emphatic_focus(capsys):
     assert "focus" in err
 
 
+def test_the_emphasis_q_picks_a_sole_frame_too(capsys, tmp_path):
+    lex = tmp_path / "dative-only.lex"
+    lex.write_text(
+        """(verb "schicken" (field change-of-possession)
+              (emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)
+              (event send) (present-3sg "schickt") (um directed-action))"""
+    )
+    new_him = tmp_path / "new-him.script"
+    new_him.write_text("(sentence (mentions glassworks))")
+    request = ["generate", "--verb", "schicken", "--bindings", BINDING_SEND,
+               "--lexicon", str(lex)]
+    for decision in (["--emphasis-q", "nonemphatic"], ["--script", str(new_him)]):
+        code, out, err = run(capsys, *request, *decision)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "emphase: error [generate]: no frame of 'schicken' realizes the recipient obliquely"
+        ]
+    for decision in (["--emphasis-q", "emphatic"], []):
+        code, out, _ = run(capsys, *request, *decision)
+        assert code == 0
+        assert out.splitlines()[-1] == "Er schickt ihm eine Einladung."
+
+
 def test_generate_refuses_a_misspelt_focus_role(capsys):
     for decision in (["--emphasis-q", "emphatic"], ["--emphasis-q", "nonemphatic"],
                      ["--script", SCRIPT]):
@@ -399,7 +422,25 @@ def test_check_claims_only_a_clean_lexicon(capsys, tmp_path):
     assert code == 1
     assert (
         "problem: verb 'zerfallen' (emphasis (1) (1 1) (1 1 0) (1 1 0 0)) "
-        "(blocked ?a ?a1 ?a2 ?a3 ?a4) names a pattern outside the atlas"
+        "(blocked ?a ?a1 ?a2 ?a3 ?a4): verb 'zerfallen' blocks every argument "
+        "of emphatic proposition(s) [[1, 1, 0, 0]]"
+    ) in out.splitlines()
+    assert not any(line.startswith("lexicon:") for line in out.splitlines())
+
+
+def test_check_names_the_rule_gap_that_leaves_an_entry_without_a_form(capsys, tmp_path):
+    lex = tmp_path / "gap.lex"
+    lex.write_text(
+        """(verb "verlegen" (field change-of-possession)
+              (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+              (blocked ?a ?a1)
+              (event mislay) (present-3sg "verlegt"))"""
+    )
+    code, out, _ = run(capsys, "check", "--lexicon", str(lex))
+    assert code == 2
+    assert (
+        "problem: verb 'verlegen' (emphasis (1) (1 1) (1 1 0) (1 1 0 0)) (blocked ?a ?a1): "
+        "no oblique realization for verbalized non-emphatic role <to-obj, have> (variable a2)"
     ) in out.splitlines()
     assert not any(line.startswith("lexicon:") for line in out.splitlines())
 

@@ -30,7 +30,7 @@ from emphase.errors import (
     SchemeError,
 )
 from emphase.pipeline import Config, load_bundle
-from emphase.scheme import parse_field
+from emphase.scheme import FieldDefinition, Proposition, Scheme, Variable, parse_field
 from emphase.sexpr import write
 
 from bruteforce import (
@@ -105,6 +105,16 @@ def test_optional_branch_overlapping_start_subtree():
         frozenset({(), (0,), (0, 0)}),
         frozenset({(), (0,), (0, 1)}),
     }
+
+
+@pytest.mark.parametrize("start, branches", [((2,), ()), ((), ((0, 1),))])
+def test_emphasis_from_a_path_outside_the_scheme_is_refused(start, branches):
+    # parse_field refuses these paths, so the field is built by hand
+    scheme = Scheme(Proposition("p", (Proposition("have", (Variable("x"),)),
+                                      Proposition("have", (Variable("y"),)))))
+    field = FieldDefinition("hand", scheme, start, optional_branches=branches)
+    with pytest.raises(SchemeError, match="out of range"):
+        enumerate_emphasis(field)
 
 
 # ---------------------------------------------------------------------------

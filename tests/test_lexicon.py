@@ -199,6 +199,14 @@ def test_lexicon_rejects_unknown_blocked_variable(bundle):
         parse_lexicon(text, bundle.field)
 
 
+def test_lexicon_entry_without_a_field_clause_names_the_clauses_it_needs(bundle):
+    with pytest.raises(ParseError) as refused:
+        parse_lexicon('(verb "x")', bundle.field)
+    assert str(refused.value) == (
+        "verb 'x' needs field, emphasis, blocked, event and present-3sg clauses"
+    )
+
+
 def test_lexicon_rejects_duplicate_patterns(bundle):
     entry = """(verb "{}" (field change-of-possession)
                  (emphasis (1) (1 0) (1 0 0)) (blocked ?a)

@@ -1,6 +1,7 @@
 """The package's public surface is the one README "Library use" documents,
 and importing it generates no code."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -30,6 +31,27 @@ def test_exports_are_the_documented_names():
     assert set(emphase.__all__) == names
     assert len(emphase.__all__) == len(names)
     assert all(hasattr(emphase, name) for name in names)
+
+
+def test_engine_modules_import_only_the_standard_library():
+    """No module of the package imports ``bench/``, the test oracles or an
+    installed package: each absolute import names a standard-library module."""
+    package = Path(emphase.__file__).resolve().parent
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], set()).add(path.name)
+    assert "typing" in imported
+    outside = {name: files for name, files in imported.items()
+               if name not in sys.stdlib_module_names}
+    assert outside == {}
 
 
 def test_import_loads_no_code_generation_modules():

@@ -28,7 +28,6 @@ from emphase.pipeline import (
     load_binding,
     load_bundle,
     read_data,
-    recipient_variable,
 )
 from emphase.realize import inflect_np, np_spec_for, realize
 from emphase.spl import serialize_spl
@@ -45,12 +44,6 @@ def test_form_for_entry_matches_atlas(bundle, forms_by_pattern):
     for entry in bundle.verbs:
         built = form_for_entry(bundle, entry)
         assert built == forms_by_pattern[(entry.emphasis, entry.blocking)]
-
-
-def test_recipient_variable_per_frame(bundle, golden_forms):
-    assert recipient_variable(golden_forms["schicken-dative"], bundle.role_maps) == "a1"
-    assert recipient_variable(golden_forms["schicken-oblique"], bundle.role_maps) == "a1"
-    assert recipient_variable(golden_forms["verlieren"], bundle.role_maps) is None
 
 
 def test_each_frame_keeps_the_emphasis_q_it_realizes(bundle):
@@ -251,12 +244,18 @@ def test_realize_equals_the_reference_on_every_atlas_form(
     assert set(compared) == {str, InputError, OrderingConflictError}
 
 
-def test_explicit_emphatic_focus_recipient_refused(bundle, binding_send):
-    with pytest.raises(FocusConflictError):
-        generate(
-            bundle, "schicken", binding_send,
-            emphasis_q=EmphasisQ.EMPHATIC, focus_role="recipient",
-        )
+@pytest.mark.parametrize("source", ["emphasis_q", "script_state"])
+def test_an_emphatic_recipient_in_focus_is_refused_alike_from_either_source(
+    bundle, binding_send, script_path, source
+):
+    decision = {"emphasis_q": EmphasisQ.EMPHATIC,
+                "script_state": run_script(parse_script(read_data(script_path)))}[source]
+    with pytest.raises(FocusConflictError) as refused:
+        generate(bundle, "schicken", binding_send, focus_role="recipient", **{source: decision})
+    assert str(refused.value) == (
+        "an emphatic participant cannot take the focus position, "
+        "which is reserved for new, non-thematic information"
+    )
 
 
 def test_script_without_recipient_mention_gives_oblique_frame(bundle, binding_send):
