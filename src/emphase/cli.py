@@ -12,7 +12,6 @@ unclassified form, missing oblique entry or morphology).
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import sexpr
@@ -37,18 +36,10 @@ from .pipeline import (
     load_binding,
     load_bundle,
     read_data,
+    staged,
 )
 from .sexpr import QuotedString
 from .spl import serialize_spl
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except EmphaseError as err:
-        if err.stage is None:
-            err.stage = name
-        raise
 
 
 def _data_parent() -> argparse.ArgumentParser:
@@ -213,14 +204,14 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
 
 
 def _run_generation(args: argparse.Namespace, bundle: Bundle):
-    with _stage("binding"):
+    with staged("binding"):
         binding = load_binding(bundle, read_data(_regular_file(args.bindings)))
     state = None
     if args.script:
-        with _stage("plan"):
+        with staged("plan"):
             state = run_script(parse_script(read_data(_regular_file(args.script))))
     emphasis_q = EmphasisQ(args.emphasis_q) if args.emphasis_q else None
-    with _stage("generate"):
+    with staged("generate"):
         result = generate(
             bundle,
             args.verb,
@@ -315,25 +306,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "plan":
-            with _stage("plan"):
+            with staged("plan"):
                 print("\n".join(cmd_plan(args)))
             return 0
-        with _stage("load"):
+        with staged("load"):
             bundle = load_bundle(_config_from(args))
         if args.command == "frame":
-            with _stage("frame"):
-                lines = cmd_frame(bundle, args.format)
+            lines = cmd_frame(bundle, args.format)
         elif args.command == "forms":
-            with _stage("forms"):
-                lines = cmd_forms(bundle, args.format)
+            lines = cmd_forms(bundle, args.format)
         elif args.command == "check":
-            with _stage("check"):
-                lines, code = cmd_check(bundle)
+            lines, code = cmd_check(bundle)
             print("\n".join(lines))
             return code
         else:
-            with _stage("load"):
-                bundle.load_all()
+            bundle.load_all()
             parts = {"spl": "spl", "realize": "sentence"}.get(args.command, "both")
             lines = cmd_generate(args, bundle, parts)
         print("\n".join(lines))

@@ -1,11 +1,11 @@
 """Discourse-state tracking and the emphasis decision for recipients.
 
 The tracker keeps the minimal textual statuses the generator consults:
-which referents have been mentioned, which one is the hypertheme of the
-text (settable once), and a caller-supplied focus choice.  A recipient
-that is both given and the hypertheme is verbalized with emphatic
-status: realized by dative case, never in clause-final focus position;
-everything else stays nonemphatic and may sit in focus.
+which referents have been mentioned and which one is the hypertheme of
+the text (settable once).  A recipient that is both given and the
+hypertheme is verbalized with emphatic status: realized by dative case,
+never in clause-final focus position; everything else stays nonemphatic
+and may sit in focus.
 
 Limitation: givenness, theme development and responsibility phenomena
 are collapsed into this single given+hypertheme test; the statuses are
@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import sexpr
-from .errors import FocusConflictError, HyperthemeError
+from .errors import HyperthemeError
 
 
 class DiscourseState(NamedTuple):
@@ -33,7 +33,6 @@ EMPTY_STATE = DiscourseState()
 class TextualStatus(NamedTuple):
     given: bool
     is_hypertheme: bool
-    in_focus: bool = False
 
     @property
     def givenness(self) -> str:
@@ -72,28 +71,20 @@ def update_discourse(
     return DiscourseState(mentioned, hypertheme, state.sentence_index + 1)
 
 
-def status_of(state: DiscourseState, referent: str, in_focus: bool = False) -> TextualStatus:
-    """Textual status of a referent; focus is the caller's choice."""
+def status_of(state: DiscourseState, referent: str) -> TextualStatus:
+    """Textual status of a referent."""
     return TextualStatus(
         given=referent in state.mentioned,
         is_hypertheme=referent == state.hypertheme,
-        in_focus=in_focus,
     )
 
 
 def decide_emphasis_q(status_of_recipient: TextualStatus) -> EmphasisQ:
     """Emphatic status for the recipient participant.
 
-    Given + hypertheme means emphatic; an emphatic participant may not
-    also be requested in focus position, which is reserved for new,
-    non-thematic information.
+    Given + hypertheme means emphatic, everything else nonemphatic.
     """
     if status_of_recipient.given and status_of_recipient.is_hypertheme:
-        if status_of_recipient.in_focus:
-            raise FocusConflictError(
-                "an emphatic participant cannot take the focus position, "
-                "which is reserved for new, non-thematic information"
-            )
         return EmphasisQ.EMPHATIC
     return EmphasisQ.NONEMPHATIC
 

@@ -2,8 +2,8 @@
 
 Every engine error derives from :class:`EmphaseError`; ``exit_code``
 drives the CLI process status (1 for bad input, 2 for a gap in the
-loaded rule data).  ``stage`` is filled in by the CLI so pipeline
-failures name the stage that raised them.
+loaded rule data).  ``stage`` names the derivation step that raised
+the error; ``pipeline.staged`` sets it.
 """
 
 

@@ -12,6 +12,7 @@ or from a discourse script, not both; with none, the lemma's only
 frame), classify the form, emit the plan term, and realize the sentence.
 """
 
+from contextlib import contextmanager
 from functools import cached_property
 from importlib import resources
 from importlib.abc import Traversable
@@ -38,6 +39,7 @@ from .emphasis import (
     pattern_text,
 )
 from .errors import (
+    EmphaseError,
     FocusConflictError,
     InputError,
     OverlappingRulesError,
@@ -139,17 +141,25 @@ class Config:
         return cls(**{f.attribute: data / f.shipped for f in DATA_FILES})
 
 
-def read_data(path: DataPath, stage: str | None = None) -> str:
-    """The text of a file.  A failed read is an ``InputError`` of ``stage``
-    when one is given (a data file of the bundle fails ``load``, whichever
-    command first needs it), else of the stage that reads the file."""
+@contextmanager
+def staged(name: str):
+    """Name ``name`` as the stage of an engine error raised inside, unless
+    a step nested in it has named its own; also usable as a decorator."""
+    try:
+        yield
+    except EmphaseError as err:
+        if err.stage is None:
+            err.stage = name
+        raise
+
+
+def read_data(path: DataPath) -> str:
+    """The text of a file; a failed read is an ``InputError``."""
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err  # no strerror on a decode error
-        failure = InputError(f"cannot read {path}: {reason}")
-        failure.stage = stage
-        raise failure from None
+        raise InputError(f"cannot read {path}: {reason}") from None
 
 
 class Bundle:
@@ -168,29 +178,37 @@ class Bundle:
         self._frames: dict[str, list[Frame]] = {}
         self._selections: dict[Pattern, ProcessSelection] = {}
 
+    @staticmethod
+    @staged("load")
+    def _parse(parse, path: DataPath, *context):
+        """Read and parse one data file of the bundle: a fault in either is
+        a ``load`` fault, whichever command first needs the file."""
+        return parse(read_data(path), *context)
+
     @cached_property
     def field(self) -> FieldDefinition:
-        return parse_field(read_data(self.config.field_path, "load"))
+        return self._parse(parse_field, self.config.field_path)
 
     @cached_property
     def rule_table(self) -> RoleRuleTable:
-        return parse_rule_table(read_data(self.config.rules_path, "load"))
+        return self._parse(parse_rule_table, self.config.rules_path)
 
     @cached_property
+    @staged("frame")
     def case_frame(self) -> CaseFrame:
         return derive_case_frame(self.field.scheme, self.rule_table)
 
     @cached_property
     def oblique_table(self) -> ObliqueTable:
-        return parse_oblique_table(read_data(self.config.oblique_path, "load"))
+        return self._parse(parse_oblique_table, self.config.oblique_path)
 
     @cached_property
     def priority(self) -> CasePriority:
-        return parse_case_priority(read_data(self.config.cases_path, "load"))
+        return self._parse(parse_case_priority, self.config.cases_path)
 
     @cached_property
     def _process(self) -> tuple[list[ProcessRule], list[RoleMapRule]]:
-        return parse_process_rules(read_data(self.config.process_path, "load"))
+        return self._parse(parse_process_rules, self.config.process_path)
 
     @property
     def process_rules(self) -> list[ProcessRule]:
@@ -202,19 +220,19 @@ class Bundle:
 
     @cached_property
     def upper_model(self) -> UpperModel:
-        return parse_upper_model(read_data(self.config.um_path, "load"))
+        return self._parse(parse_upper_model, self.config.um_path)
 
     @cached_property
     def verbs(self) -> list[VerbEntry]:
-        return parse_lexicon(read_data(self.config.lexicon_path, "load"), self.field)
+        return self._parse(parse_lexicon, self.config.lexicon_path, self.field)
 
     @cached_property
     def np_lexicon(self) -> NPLexicon:
-        return parse_np_lexicon(read_data(self.config.np_path, "load"))
+        return self._parse(parse_np_lexicon, self.config.np_path)
 
     @cached_property
     def morph_table(self) -> MorphTable:
-        return parse_morph_table(read_data(self.config.morph_path, "load"))
+        return self._parse(parse_morph_table, self.config.morph_path)
 
     def load_all(self) -> "Bundle":
         for piece in (

@@ -308,13 +308,11 @@ _UNREADABLE = {
 
 
 @pytest.mark.parametrize("kind", list(_UNREADABLE))
-@pytest.mark.parametrize("argv, stage, parse_stage", [
-    (["frame", "--field"], "load", "frame"),
-    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"],
-     "binding", "binding"),
+@pytest.mark.parametrize("argv, stage", [
+    (["frame", "--field"], "load"),
+    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"], "binding"),
 ], ids=["data-file", "bindings"])
-def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stage,
-                                              parse_stage):
+def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stage):
     path = {
         "missing": tmp_path / "missing",
         "directory": tmp_path,
@@ -328,7 +326,6 @@ def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stag
         path.write_text("")
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
-    stage = parse_stage if kind == "empty file" else stage
     assert err.splitlines() == [
         f"emphase: error [{stage}]: " + _UNREADABLE[kind].format(path=path)
     ]
@@ -359,6 +356,43 @@ def test_a_file_that_cannot_be_read_names_why(capsys, monkeypatch, tmp_path, arg
         f"emphase: error [{stage}]: cannot read {path}: Permission denied"
     ]
 
+
+# Data files whose fault each command reports under the stage of the
+# bundle piece that meets it: (option, text, exit code, stage, error).
+_FAULTY_DATA = {
+    "rules-gap": ("--rules", "(init have 1 (locat have)) (init act 1 (agens act))", 2, "frame",
+                  "no role rule for (cause pos <agens, act>)"),
+    "empty-field": ("--field", "", 1, "load", "1:1: empty input"),
+    "lemma-only-lexicon": ("--lexicon", '(verb "x")', 1, "load",
+                           "verb 'x' needs field, emphasis, blocked, event and present-3sg "
+                           "clauses"),
+    "bare-process-rule": ("--process", "(process-rule x)", 1, "load",
+                          "a process entry must be (process-rule ...) with 2 argument(s), "
+                          "got (process-rule x)"),
+}
+
+
+@pytest.mark.parametrize("fault, command", [
+    (fault, command)
+    for fault, commands in [
+        ("rules-gap", ("frame", "forms", "spl", "generate")),
+        ("empty-field", ("frame", "forms", "check", "generate")),
+        ("lemma-only-lexicon", ("forms", "check", "generate")),
+        ("bare-process-rule", ("forms", "check", "generate")),
+    ]
+    for command in commands
+])
+def test_a_data_fault_names_the_same_stage_under_every_command(capsys, tmp_path, fault,
+                                                                command):
+    option, text, exit_code, stage, message = _FAULTY_DATA[fault]
+    path = tmp_path / "faulty"
+    path.write_text(text)
+    argv = [command, option, str(path)]
+    if command in ("spl", "generate"):
+        argv += ["--verb", "schicken", "--bindings", BINDING_SEND, "--emphasis-q", "emphatic"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert err.splitlines() == [f"emphase: error [{stage}]: {message}"]
 
 def test_plan_command(capsys):
     code, out, _ = run(capsys, "plan", "--script", SCRIPT, "--referent", "him")

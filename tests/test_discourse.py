@@ -12,7 +12,7 @@ from emphase.discourse import (
     status_of,
     update_discourse,
 )
-from emphase.errors import FocusConflictError, HyperthemeError, ParseError
+from emphase.errors import HyperthemeError, ParseError
 from emphase.pipeline import read_data
 
 
@@ -57,7 +57,7 @@ def test_status_given_hypertheme_after_context():
     state = update_discourse(EMPTY_STATE, ["behrens"], hypertheme_decl="behrens")
     state = update_discourse(state, ["behrens", "flasks"])
     status = status_of(state, "behrens")
-    assert status.given and status.is_hypertheme and not status.in_focus
+    assert status.given and status.is_hypertheme
     assert status.givenness == "given"
 
 
@@ -77,20 +77,14 @@ def test_given_hypertheme_decides_emphatic():
     assert decide_emphasis_q(status) is EmphasisQ.EMPHATIC
 
 
-def test_new_in_focus_decides_nonemphatic():
-    status = TextualStatus(given=False, is_hypertheme=False, in_focus=True)
+def test_new_referent_decides_nonemphatic():
+    status = TextualStatus(given=False, is_hypertheme=False)
     assert decide_emphasis_q(status) is EmphasisQ.NONEMPHATIC
 
 
 def test_given_without_hypertheme_decides_nonemphatic():
     status = TextualStatus(given=True, is_hypertheme=False)
     assert decide_emphasis_q(status) is EmphasisQ.NONEMPHATIC
-
-
-def test_emphatic_plus_focus_is_refused():
-    status = TextualStatus(given=True, is_hypertheme=True, in_focus=True)
-    with pytest.raises(FocusConflictError, match="new"):
-        decide_emphasis_q(status)
 
 
 # ---------------------------------------------------------------------------

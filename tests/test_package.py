@@ -54,6 +54,35 @@ def test_engine_modules_import_only_the_standard_library():
     assert outside == {}
 
 
+def _stage_setters(node: ast.AST, scope: str):
+    """The qualified name of the function or class around each assignment
+    to an attribute named ``stage``, or ``setattr`` of one, under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "stage"
+                   for target in targets for t in ast.walk(target)):
+                yield scope
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+              and child.func.id == "setattr" and len(child.args) > 1
+              and isinstance(child.args[1], ast.Constant) and child.args[1].value == "stage"):
+            yield scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        yield from _stage_setters(child, inner)
+
+
+def test_only_the_error_and_staged_set_a_stage():
+    """An error's stage is set in one place: ``EmphaseError.__init__``
+    starts it empty and ``pipeline.staged`` names it."""
+    package = Path(emphase.__file__).resolve().parent
+    setters = [scope for path in sorted(package.glob("*.py"))
+               for scope in _stage_setters(ast.parse(path.read_text(encoding="utf-8")),
+                                           path.stem)]
+    assert sorted(setters) == ["errors.EmphaseError.__init__", "pipeline.staged"]
+
+
 def test_import_loads_no_code_generation_modules():
     """No record type goes through ``dataclasses``, whose import also pulls
     in ``inspect`` and ``ast``; ``-S`` keeps site packages from loading them."""

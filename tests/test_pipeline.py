@@ -14,12 +14,14 @@ from emphase.errors import (
     EmphaseError,
     FocusConflictError,
     InputError,
+    MissingRuleError,
     OrderingConflictError,
     RuleGapError,
     UnverbalizedRoleError,
 )
 from emphase.pipeline import (
     DATA_FILES,
+    Bundle,
     Config,
     Frame,
     check_bundle,
@@ -295,6 +297,25 @@ def test_check_bundle_ok(bundle):
 def test_bundle_pieces_are_cached(bundle):
     assert bundle.field is bundle.field
     assert bundle.case_frame is bundle.case_frame
+    # kept on the instance, so a later use runs no stage code
+    loaded = Bundle(Config.default()).load_all()
+    assert {"field", "rule_table", "case_frame", "oblique_table", "priority", "_process",
+            "upper_model", "verbs", "np_lexicon", "morph_table"} <= vars(loaded).keys()
+
+
+def test_a_piece_names_its_stage_without_the_cli(tmp_path):
+    """The case frame fails ``frame``; a data file read while deriving it
+    fails ``load``, the stage of the innermost piece."""
+    rules, field = tmp_path / "gap.rules", tmp_path / "empty.field"
+    rules.write_text("(init have 1 (locat have)) (init act 1 (agens act))")
+    field.write_text("")
+    for attribute, path, error, stage in [("rules_path", rules, MissingRuleError, "frame"),
+                                          ("field_path", field, InputError, "load")]:
+        config = Config.default()
+        setattr(config, attribute, path)
+        with pytest.raises(error) as raised:
+            Bundle(config).case_frame
+        assert raised.value.stage == stage
 
 
 def test_generate_derives_forms_and_selections_once(monkeypatch, binding_send, binding_key):
