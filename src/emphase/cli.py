@@ -12,6 +12,7 @@ unclassified form, missing oblique entry or morphology).
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import sexpr
@@ -24,9 +25,9 @@ from .discourse import (
     status_of,
     update_discourse,
 )
-from .emphasis import DirectCase, Oblique, SemanticForm
+from .emphasis import DirectCase, Oblique, RoleRealization
 from .errors import EmphaseError, InputError, RuleGapError, UnclassifiedFormError
-from .lexicon import match_verbs
+from .lexicon import ProcessSelection, match_verbs
 from .pipeline import (
     DATA_FILES,
     Bundle,
@@ -122,21 +123,31 @@ def build_parser() -> argparse.ArgumentParser:
 # Rendering helpers
 
 
-def _realization_term(form: SemanticForm) -> list:
-    entries: list = ["cases"]
-    for variable, realization in form.realization.entries:
-        if isinstance(realization, DirectCase):
-            entries.append([variable, realization.case.value])
-        elif isinstance(realization, Oblique):
-            entries.append(
-                [
-                    variable,
-                    ["oblique", QuotedString(realization.preposition), realization.governed.value],
-                ]
-            )
-        else:
-            entries.append([variable, "blocked"])
-    return entries
+def _cell_term(entry: tuple[str, RoleRealization]) -> list:
+    variable, realization = entry
+    if isinstance(realization, DirectCase):
+        return [variable, realization.case.value]
+    if isinstance(realization, Oblique):
+        preposition = QuotedString(realization.preposition)
+        return [variable, ["oblique", preposition, realization.governed.value]]
+    return [variable, "blocked"]
+
+
+def _process_term(selection: ProcessSelection | str) -> list:
+    if isinstance(selection, str):
+        return ["process", selection]
+    return ["process", selection.um_type, *map(list, selection.participants)]
+
+
+def _written(term_of):
+    """``sexpr.write(term_of(key))``, written on the key's first use and
+    kept, so a part many lines share is written once."""
+    return cache(lambda key: sexpr.write(term_of(key)))
+
+
+def _list_text(head: str, items: list[str]) -> str:
+    """``(head item ...)`` from items already written."""
+    return f"({' '.join([head, *items])})"
 
 
 def cmd_frame(bundle: Bundle, fmt: str) -> list[str]:
@@ -154,6 +165,13 @@ def cmd_frame(bundle: Bundle, fmt: str) -> list[str]:
 
 def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
     lines: list[str] = []
+    # the structured parts lines share: emphasis patterns, (variable
+    # realization) cells, quoted lemmas and process terms; variables are
+    # symbols (``sexpr.variable`` reads them), so they are written bare
+    emphases = _written(lambda e: ["emphasis", *map(list, sorted(e.emphatic))])
+    cells = _written(_cell_term)
+    lemmas = _written(QuotedString)
+    processes = _written(_process_term)
     for index, (form, selection) in enumerate(bundle.atlas.values(), start=1):
         verbs = match_verbs(form, bundle.verbs)
         # a form no rule or more than one rule classifies is marked, not fatal
@@ -161,21 +179,13 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             unclassified = isinstance(selection, UnclassifiedFormError)
             selection = "unclassified" if unclassified else "ambiguous"
         if fmt == "structured":
-            term: list = [
-                "form",
-                ["emphasis"] + [list(p) for p in sorted(form.emphasis.emphatic)],
-                ["blocked"] + sorted(form.blocking.blocked),
-                _realization_term(form),
-                ["verbs"] + [QuotedString(v.lemma) for v in verbs],
-            ]
-            if isinstance(selection, str):
-                term.append(["process", selection])
-            else:
-                term.append(
-                    ["process", selection.um_type]
-                    + [[r, v] for r, v in selection.participants]
-                )
-            lines.append(sexpr.write(term))
+            lines.append(_list_text("form", [
+                emphases(form.emphasis),
+                _list_text("blocked", sorted(form.blocking.blocked)),
+                _list_text("cases", [cells(entry) for entry in form.realization.entries]),
+                _list_text("verbs", [lemmas(v.lemma) for v in verbs]),
+                processes(selection),
+            ]))
         else:
             lines.append(f"form {index}")
             emphatic = " ".join(sexpr.write(list(p)) for p in sorted(form.emphasis.emphatic))

@@ -23,7 +23,7 @@ skipped and counted during enumeration.
 
 import itertools
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import sexpr
@@ -257,12 +257,15 @@ def check_blocking(
     blocked, in path order; empty means the blocking set is admissible.
 
     Only the emphatic basic propositions can offend; the scheme keeps
-    them per emphasis (``Scheme.basic_variables``), so a call is one
-    table lookup and one subset test for each of them.
+    them per emphasis (``Scheme.basic_tables``, filled by
+    ``Scheme.basic_variables``), so a call is one dict lookup and one
+    subset test for each of them.
     """
+    paths = emphasis.emphatic
+    table = scheme.basic_tables.get(paths) or scheme.basic_variables(paths)
     blocked = blocking.blocked
     offending: list[NodePath] = []
-    for path, names in scheme.basic_variables(emphasis.emphatic):
+    for path, names in table:
         if names <= blocked:
             offending.append(path)
     return offending
@@ -374,13 +377,15 @@ class FormEnumeration(NamedTuple):
 
 
 def blocking_subsets(scheme: Scheme) -> list[BlockingSet]:
-    """All blocking sets over the scheme's variables, in canonical
-    (bitmask over scheme order) order."""
+    """All blocking sets over the scheme's variables, in canonical order:
+    the set at index i blocks exactly the variables whose bits are set in
+    i, bit j standing for the j-th variable in scheme order."""
     subsets: list[frozenset[str]] = [frozenset()]
     for v in scheme.variables:
-        # the sets with this variable's bit set follow those without it
-        subsets += [s | {v} for s in subsets]
-    return [BlockingSet(s) for s in subsets]
+        # the sets with this variable's bit set follow those without it;
+        # a set argument sizes each copy's table for the one new member
+        subsets += list(map(frozenset.union, subsets, itertools.repeat({v})))
+    return list(map(partial(tuple.__new__, BlockingSet), zip(subsets)))
 
 
 def enumerate_semantic_forms(
@@ -392,41 +397,40 @@ def enumerate_semantic_forms(
     """Every (emphasis, blocking) pair that survives the blocking rule
     and case assignment, packaged as semantic forms in canonical order.
 
-    Every pair is visited and checked with ``check_blocking``, which
-    tests only the emphasis's basic propositions, read from the table
-    the scheme keeps per emphasis (``Scheme.basic_variables``; built
-    once per emphasis, by ``emphatic_variables``).  The case assignment
-    of a pair is decided without building its realization: a verbalized
-    non-emphatic role needs an oblique entry, and the direct cases
-    depend only on which emphatic roles stay unblocked, so they are
-    computed once per such set.
+    ``check_blocking`` is the one call made per pair.  Everything else
+    works on the blocking's index in ``blocking_subsets``, a bit mask of
+    the blocked variables: a pair fails case assignment when a variable
+    that must be blocked (verbalized, it would be non-emphatic with no
+    oblique entry) has its bit clear, and the direct cases depend only on
+    which frame-emphatic variables stay unblocked, so they are computed
+    once per such mask.  A realization is built for each form only.
     """
     scheme = field.scheme
     forms: list[SemanticForm] = []
     rejected_blocking = 0
     rejected_assignment = 0
     frame_items = tuple(case_frame.items())
+    bit = {v: 1 << j for j, v in enumerate(scheme.variables)}
     blockings = blocking_subsets(scheme)
-    outcomes: dict[frozenset[str], dict[str, DirectCase] | None] = {}
+    outcomes: dict[int, dict[str, DirectCase] | None] = {}
     for emphasis in enumerate_emphasis(field):
         emphatic = emphatic_variables(scheme, emphasis)
-        frame_emphatic = emphatic.intersection(case_frame)
-        must_block = frozenset(
-            v
+        frame_emphatic = sum(bit[v] for v in case_frame if v in emphatic)
+        must_block = sum(
+            bit[v]
             for v, role in frame_items
             if v not in emphatic and role not in oblique_table.entries
         )
-        for blocking in blockings:
-            blocked = blocking.blocked
+        for index, blocking in enumerate(blockings):
             if check_blocking(scheme, emphasis, blocking):
                 rejected_blocking += 1
                 continue
-            if not must_block <= blocked:
+            if index & must_block != must_block:
                 rejected_assignment += 1
                 continue
-            unblocked = frame_emphatic - blocked
+            unblocked = frame_emphatic & ~index
             if unblocked not in outcomes:
-                pending = [v for v in case_frame if v in unblocked]
+                pending = [v for v in case_frame if unblocked & bit[v]]
                 try:
                     outcomes[unblocked] = direct_cases(case_frame, pending, priority)
                 except CaseAssignmentError:

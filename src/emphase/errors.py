@@ -75,7 +75,20 @@ class NoNominativeError(CaseAssignmentError):
 
 
 class UnclassifiedFormError(RuleGapError):
-    """No process-type rule matches the semantic form."""
+    """No process-type rule matches the semantic form.  The form's
+    ``pattern`` (emphasis, blocking), when given, is written only when
+    the message is read: ``forms`` marks such a form without printing it."""
+
+    def __init__(self, message: str, pattern: tuple | None = None):
+        super().__init__(message)
+        self.pattern = pattern
+
+    def __str__(self):
+        if self.pattern is None:
+            return super().__str__()
+        from .emphasis import pattern_text  # emphasis imports this module
+
+        return f"{super().__str__()} {pattern_text(*self.pattern)}"
 
 
 class AmbiguousProcessError(RuleGapError):

@@ -21,7 +21,6 @@ from .emphasis import (
     EmphasisAssignment,
     SemanticForm,
     check_emphasis,
-    pattern_text,
 )
 from .errors import (
     AmbiguousProcessError,
@@ -297,8 +296,7 @@ def select_process_type(
     matches = [r for r in rules if evaluate_condition(r.condition, form)]
     if not matches:
         raise UnclassifiedFormError(
-            "no process-type rule matches the form "
-            + pattern_text(form.emphasis, form.blocking)
+            "no process-type rule matches the form", (form.emphasis, form.blocking)
         )
     if len(matches) > 1:
         raise OverlappingRulesError(

@@ -111,7 +111,7 @@ class Scheme(_SchemeFields):
         check(root, ())
         self._nodes = nodes
         self._sites = sites
-        self._basic: dict[frozenset[NodePath], tuple] = {}  # basic_variables' table
+        self.basic_tables: dict[frozenset[NodePath], tuple] = {}  # filled by basic_variables
         return self
 
     @cached_property
@@ -123,13 +123,13 @@ class Scheme(_SchemeFields):
         self, paths: frozenset[NodePath]
     ) -> tuple[tuple[NodePath, frozenset[str]], ...]:
         """The basic propositions among ``paths``, in path order, each with
-        its variable names.  Built on the first request for a set and kept,
-        so a repeat is one dict hit; a path outside the scheme raises on
-        every request."""
-        table = self._basic.get(paths)
+        its variable names.  Built on the first request for a set and kept
+        in ``basic_tables``, where a hot loop reads it with one dict lookup;
+        a path outside the scheme raises on every request."""
+        table = self.basic_tables.get(paths)
         if table is None:
             nodes = [(path, self.node_at(path)) for path in sorted(paths)]
-            table = self._basic[paths] = tuple(
+            table = self.basic_tables[paths] = tuple(
                 (path, frozenset(v.name for v in node.variables))
                 for path, node in nodes
                 if node.is_basic

@@ -14,10 +14,22 @@ from hypothesis import given, settings, strategies as st
 
 import emphase
 from emphase import sexpr
-from emphase.cli import _data_parent, main
-from emphase.pipeline import DATA_FILES, Config
+from emphase.cli import _data_parent, cmd_forms, main
+from emphase.emphasis import DirectCase, Oblique
+from emphase.errors import RuleGapError, UnclassifiedFormError
+from emphase.lexicon import VerbEntry, match_verbs
+from emphase.pipeline import DATA_FILES, Config, load_bundle
+from emphase.roles import derive_case_frame
+from emphase.sexpr import QuotedString
 
-from bruteforce import random_term
+from bruteforce import (
+    random_field,
+    random_oblique,
+    random_priority,
+    random_scheme,
+    random_table,
+    random_term,
+)
 
 SPL_DATIVE = (
     "(send / directed-action :actor (he / person) "
@@ -103,6 +115,86 @@ def test_forms_structured_terms(capsys):
     terms = sexpr.read_all(out)
     assert terms[-1] == ["count", 15]
     assert all(t[0] == "form" for t in terms[:-1])
+
+
+def _form_term(form, selection, verbs) -> list:
+    """The ``(form ...)`` term of one atlas entry, built whole as a term
+    list: the reference each structured ``forms`` line is written from."""
+    cases: list = ["cases"]
+    for variable, realization in form.realization.entries:
+        if isinstance(realization, DirectCase):
+            cases.append([variable, realization.case.value])
+        elif isinstance(realization, Oblique):
+            preposition = QuotedString(realization.preposition)
+            cases.append([variable, ["oblique", preposition, realization.governed.value]])
+        else:
+            cases.append([variable, "blocked"])
+    if isinstance(selection, RuleGapError):
+        unclassified = isinstance(selection, UnclassifiedFormError)
+        process = ["process", "unclassified" if unclassified else "ambiguous"]
+    else:
+        process = ["process", selection.um_type] + [[r, v] for r, v in selection.participants]
+    return [
+        "form",
+        ["emphasis"] + [list(p) for p in sorted(form.emphasis.emphatic)],
+        ["blocked"] + sorted(form.blocking.blocked),
+        cases,
+        ["verbs"] + [QuotedString(v.lemma) for v in verbs],
+        process,
+    ]
+
+
+def assert_forms_lines_are_the_written_terms(bundle):
+    lines = cmd_forms(bundle, "structured")
+    atlas = list(bundle.atlas.values())
+    assert len(lines) == len(atlas) + 1
+    assert lines[-1] == sexpr.write(["count", len(atlas)])
+    for line, (form, selection) in zip(lines, atlas):
+        term = _form_term(form, selection, match_verbs(form, bundle.verbs))
+        assert line == sexpr.write(term)
+        assert sexpr.read(line) == term
+        assert sexpr.write(sexpr.read(line)) == line
+
+
+def test_forms_lines_are_the_written_terms_on_the_shipped_bundle(tmp_path):
+    assert_forms_lines_are_the_written_terms(load_bundle(Config.default()))
+    config = Config.default()
+    config.process_path, config.um_path = map(Path, _ambiguous_bundle(tmp_path)[1::2])
+    assert_forms_lines_are_the_written_terms(load_bundle(config))
+
+
+def test_forms_lines_write_a_lemma_holding_a_quote_and_a_backslash(tmp_path):
+    lexicon = tmp_path / "odd.lex"
+    text = Path(data_path("lexicon", "change-of-possession.lex")).read_text()
+    lexicon.write_text(text.replace('(verb "verlieren"', r'(verb "ver\"lie\\ren"'))
+    config = Config.default()
+    config.lexicon_path = lexicon
+    bundle = load_bundle(config)
+    assert 'ver"lie\\ren' in [v.lemma for v in bundle.verbs]
+    assert_forms_lines_are_the_written_terms(bundle)
+    lines = cmd_forms(bundle, "structured")
+    assert any('(verbs "ver\\"lie\\\\ren")' in line for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_forms_lines_are_the_written_terms_on_random_fields(seed):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng)
+    table = random_table(rng, scheme)
+    frame = derive_case_frame(scheme, table)
+    bundle = load_bundle(Config.default())
+    fd = random_field(rng, scheme)
+    vars(bundle).update(field=fd, rule_table=table, case_frame=frame,
+                        oblique_table=random_oblique(rng, frame), priority=random_priority(rng))
+    # lemmas with the characters a quoted string escapes, on some patterns
+    alphabet = 'ab "\\äß-'
+    bundle.verbs = [
+        VerbEntry("".join(rng.choices(alphabet, k=rng.randint(0, 6))), fd.name,
+                  form.emphasis, form.blocking, "e", "p")
+        for form in bundle.enumerate_forms().forms
+        for _ in range(rng.choice((0, 0, 1, 2)))
+    ]
+    assert_forms_lines_are_the_written_terms(bundle)
 
 
 def test_generate_emphatic_golden(capsys):

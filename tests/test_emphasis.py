@@ -15,6 +15,7 @@ from emphase.emphasis import (
     EmphasisAssignment,
     Oblique,
     assign_cases,
+    blocking_subsets,
     check_blocking,
     check_emphasis,
     direct_cases,
@@ -174,6 +175,37 @@ def test_emphatic_variables_and_blocking_match_their_definitions(seed):
             and {v.name for v in scheme.node_at(path).variables} <= blocked
         )
         assert check_blocking(scheme, emphasis, BlockingSet(blocked)) == offending
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_blocking_index_has_the_bits_of_its_blocked_variables(seed):
+    scheme = random_scheme(random.Random(seed))
+    blockings = blocking_subsets(scheme)
+    assert len(blockings) == 2 ** len(scheme.variables)
+    for index, blocking in enumerate(blockings):
+        assert type(blocking) is BlockingSet
+        assert blocking.blocked == frozenset(
+            v for j, v in enumerate(scheme.variables) if index >> j & 1
+        )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_blocking_is_the_same_whether_the_table_was_filled_first_or_not(seed):
+    rng = random.Random(seed)
+    fd = random_field(rng, random_scheme(rng))
+    filled = Scheme(fd.scheme.root)
+    emphases = enumerate_emphasis(fd)
+    for emphasis in emphases:
+        filled.basic_variables(emphasis.emphatic)
+    for emphasis in emphases:
+        for _ in range(4):
+            blocking = BlockingSet(frozenset(v for v in filled.variables if rng.random() < 0.5))
+            fresh = Scheme(fd.scheme.root)
+            first = check_blocking(fresh, emphasis, blocking)
+            assert emphasis.emphatic in fresh.basic_tables
+            assert type(first) is list
+            assert first == check_blocking(fresh, emphasis, blocking)
+            assert first == check_blocking(filled, emphasis, blocking)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import pytest
 
+import emphase.emphasis as emphasis_module
 from emphase.emphasis import BlockingSet, EmphasisAssignment
 from emphase.errors import (
     AmbiguousProcessError,
@@ -131,6 +132,22 @@ def test_unclassified_form_names_its_pattern_as_a_lexicon_entry_does(bundle, gol
         "no process-type rule matches the form "
         "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
     )
+
+
+def test_an_unclassified_form_writes_its_pattern_only_when_read(
+    bundle, golden_forms, monkeypatch
+):
+    written = []
+    monkeypatch.setattr(
+        emphasis_module, "pattern_text", lambda e, b: written.append((e, b)) or "P"
+    )
+    form = golden_forms["schicken-dative"]
+    rules = [r for r in bundle.process_rules if r.um_type != "directed-action"]
+    with pytest.raises(UnclassifiedFormError) as raised:
+        select_process_type(form, rules, bundle.role_maps)
+    assert written == []
+    assert str(raised.value) == "no process-type rule matches the form P"
+    assert written == [(form.emphasis, form.blocking)]
 
 
 def test_rules_disjoint_over_whole_atlas(bundle, atlas):
