@@ -19,11 +19,16 @@ Case assignment turns one (emphasis, blocking) pair into a realization:
 Each emphatic basic proposition must keep at least one unblocked
 argument (``check_blocking``); pairs that fail case assignment are
 skipped and counted during enumeration.
+
+Enumeration works on blockings as bit masks (``Scheme.mask_of``): one
+``check_blocking`` call per (emphasis, blocking) pair, case assignment
+only on the supersets of the must-block mask, and a ``BlockingSet`` and
+a realization per form.
 """
 
 import itertools
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from . import sexpr
@@ -250,23 +255,25 @@ def emphatic_variables(scheme: Scheme, assignment: EmphasisAssignment) -> frozen
     )
 
 
-def check_blocking(
-    scheme: Scheme, emphasis: EmphasisAssignment, blocking: BlockingSet
-) -> list[NodePath]:
-    """Paths of emphatic basic propositions whose arguments are all
-    blocked, in path order; empty means the blocking set is admissible.
+BlockingTable = tuple[tuple[NodePath, int], ...]
 
-    Only the emphatic basic propositions can offend; the scheme keeps
-    them per emphasis (``Scheme.basic_tables``, filled by
-    ``Scheme.basic_variables``), so a call is one dict lookup and one
-    subset test for each of them.
-    """
-    paths = emphasis.emphatic
-    table = scheme.basic_tables.get(paths) or scheme.basic_variables(paths)
-    blocked = blocking.blocked
+
+def blocking_table(scheme: Scheme, emphasis: EmphasisAssignment) -> BlockingTable:
+    """The emphatic basic propositions, in path order, each with the mask
+    of its variables (``Scheme.mask_of``): what ``check_blocking`` reads.
+    A path outside the scheme raises ``SchemeError``."""
+    return tuple(
+        (path, scheme.mask_of(names))
+        for path, names in scheme.basic_variables(emphasis.emphatic)
+    )
+
+
+def check_blocking(table: BlockingTable, blocked: int) -> list[NodePath]:
+    """Paths of the table's propositions whose variables the mask ``blocked``
+    all blocks, in path order; empty means the blocking is admissible."""
     offending: list[NodePath] = []
     for path, names in table:
-        if names <= blocked:
+        if blocked & names == names:
             offending.append(path)
     return offending
 
@@ -291,14 +298,15 @@ class CasePriority(NamedTuple):
 
 
 def direct_cases(
-    case_frame: CaseFrame, pending: list[str], priority: CasePriority
+    case_frame: CaseFrame, names: frozenset[str], priority: CasePriority
 ) -> dict[str, DirectCase]:
-    """Direct cases for the emphatic unblocked variables ``pending`` (in
-    case-frame order), or raise when one of them gets none.
+    """Direct cases for the emphatic unblocked variables ``names``, taken
+    in case-frame order, or raise when one of them gets none.
 
     Each priority order in turn takes the first matching unassigned
     role; nominative must be taken.
     """
+    pending = [v for v in case_frame if v in names]
     assigned: dict[str, DirectCase] = {}
 
     def take(order: tuple[str, ...], case: Case):
@@ -361,8 +369,7 @@ def assign_cases(
     Direct cases go to emphatic unblocked roles only (``direct_cases``);
     obliques go to non-emphatic unblocked roles via the preposition table.
     """
-    pending = [v for v in case_frame if v in emphatic and v not in blocking]
-    assigned = direct_cases(case_frame, pending, priority)
+    assigned = direct_cases(case_frame, emphatic - blocking.blocked, priority)
     return _realization(case_frame, blocking, assigned, oblique_table)
 
 
@@ -376,18 +383,6 @@ class FormEnumeration(NamedTuple):
     rejected_assignment: int
 
 
-def blocking_subsets(scheme: Scheme) -> list[BlockingSet]:
-    """All blocking sets over the scheme's variables, in canonical order:
-    the set at index i blocks exactly the variables whose bits are set in
-    i, bit j standing for the j-th variable in scheme order."""
-    subsets: list[frozenset[str]] = [frozenset()]
-    for v in scheme.variables:
-        # the sets with this variable's bit set follow those without it;
-        # a set argument sizes each copy's table for the one new member
-        subsets += list(map(frozenset.union, subsets, itertools.repeat({v})))
-    return list(map(partial(tuple.__new__, BlockingSet), zip(subsets)))
-
-
 def enumerate_semantic_forms(
     field: FieldDefinition,
     case_frame: CaseFrame,
@@ -395,50 +390,49 @@ def enumerate_semantic_forms(
     priority: CasePriority,
 ) -> FormEnumeration:
     """Every (emphasis, blocking) pair that survives the blocking rule
-    and case assignment, packaged as semantic forms in canonical order.
+    and case assignment, packaged as semantic forms in canonical order:
+    by emphasis, then by blocking mask (``Scheme.mask_of``).
 
-    ``check_blocking`` is the one call made per pair.  Everything else
-    works on the blocking's index in ``blocking_subsets``, a bit mask of
-    the blocked variables: a pair fails case assignment when a variable
-    that must be blocked (verbalized, it would be non-emphatic with no
-    oblique entry) has its bit clear, and the direct cases depend only on
-    which frame-emphatic variables stay unblocked, so they are computed
-    once per such mask.  A realization is built for each form only.
+    ``check_blocking``, called once per pair, is all a pair costs.  Case
+    assignment runs only on the supersets of the must-block mask (frame
+    variables that, verbalized, would be non-emphatic with no oblique
+    entry): every other pair fails it.  Direct cases are memoized per
+    mask of unblocked frame-emphatic variables.
     """
     scheme = field.scheme
     forms: list[SemanticForm] = []
     rejected_blocking = 0
-    rejected_assignment = 0
     frame_items = tuple(case_frame.items())
-    bit = {v: 1 << j for j, v in enumerate(scheme.variables)}
-    blockings = blocking_subsets(scheme)
+    frame_mask = scheme.mask_of(case_frame)
+    no_oblique = scheme.mask_of({v for v, r in frame_items if r not in oblique_table.entries})
+    masks = range(1 << len(scheme.variables))
     outcomes: dict[int, dict[str, DirectCase] | None] = {}
-    for emphasis in enumerate_emphasis(field):
+    emphases = enumerate_emphasis(field)
+    for emphasis in emphases:
+        table = blocking_table(scheme, emphasis)
+        rejected = bytes(map(bool, map(check_blocking, itertools.repeat(table), masks)))
+        rejected_blocking += rejected.count(1)
         emphatic = emphatic_variables(scheme, emphasis)
-        frame_emphatic = sum(bit[v] for v in case_frame if v in emphatic)
-        must_block = sum(
-            bit[v]
-            for v, role in frame_items
-            if v not in emphatic and role not in oblique_table.entries
-        )
-        for index, blocking in enumerate(blockings):
-            if check_blocking(scheme, emphasis, blocking):
-                rejected_blocking += 1
+        emphatic_mask = scheme.mask_of(emphatic)
+        must_block = no_oblique & ~emphatic_mask
+        free = subset = masks[-1] & ~must_block
+        for _ in range(1 << free.bit_count()):
+            subset = (subset - free) & free  # the subsets of free, 0 first, in increasing order
+            blocked = must_block | subset
+            if rejected[blocked]:
                 continue
-            if index & must_block != must_block:
-                rejected_assignment += 1
-                continue
-            unblocked = frame_emphatic & ~index
+            unblocked = frame_mask & emphatic_mask & ~blocked
             if unblocked not in outcomes:
-                pending = [v for v in case_frame if unblocked & bit[v]]
                 try:
-                    outcomes[unblocked] = direct_cases(case_frame, pending, priority)
+                    outcomes[unblocked] = direct_cases(
+                        case_frame, scheme.names_of(unblocked), priority
+                    )
                 except CaseAssignmentError:
                     outcomes[unblocked] = None
             assigned = outcomes[unblocked]
             if assigned is None:
-                rejected_assignment += 1
                 continue
+            blocking = BlockingSet(scheme.names_of(blocked))
             forms.append(
                 SemanticForm(
                     field_name=field.name,
@@ -449,6 +443,7 @@ def enumerate_semantic_forms(
                     emphatic_variables=emphatic,
                 )
             )
+    rejected_assignment = len(emphases) * len(masks) - rejected_blocking - len(forms)
     return FormEnumeration(forms, rejected_blocking, rejected_assignment)
 
 

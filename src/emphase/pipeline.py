@@ -31,6 +31,7 @@ from .emphasis import (
     ObliqueTable,
     SemanticForm,
     assign_cases,
+    blocking_table,
     check_blocking,
     emphatic_variables,
     enumerate_semantic_forms,
@@ -307,7 +308,8 @@ def load_binding(bundle: Bundle, text: str) -> Binding:
 def form_for_entry(bundle: Bundle, entry: VerbEntry) -> SemanticForm:
     """Semantic form a lexicon entry lexicalizes."""
     scheme = bundle.field.scheme
-    offending = check_blocking(scheme, entry.emphasis, entry.blocking)
+    table = blocking_table(scheme, entry.emphasis)
+    offending = check_blocking(table, scheme.mask_of(entry.blocking.blocked))
     if offending:
         raise InputError(
             f"verb {entry.lemma!r} blocks every argument of emphatic "

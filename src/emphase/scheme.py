@@ -16,7 +16,7 @@ pure function.
 """
 
 from functools import cached_property
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from . import sexpr
 from .errors import ParseError, SchemeError
@@ -111,7 +111,6 @@ class Scheme(_SchemeFields):
         check(root, ())
         self._nodes = nodes
         self._sites = sites
-        self.basic_tables: dict[frozenset[NodePath], tuple] = {}  # filled by basic_variables
         return self
 
     @cached_property
@@ -123,23 +122,27 @@ class Scheme(_SchemeFields):
         self, paths: frozenset[NodePath]
     ) -> tuple[tuple[NodePath, frozenset[str]], ...]:
         """The basic propositions among ``paths``, in path order, each with
-        its variable names.  Built on the first request for a set and kept
-        in ``basic_tables``, where a hot loop reads it with one dict lookup;
-        a path outside the scheme raises on every request."""
-        table = self.basic_tables.get(paths)
-        if table is None:
-            nodes = [(path, self.node_at(path)) for path in sorted(paths)]
-            table = self.basic_tables[paths] = tuple(
-                (path, frozenset(v.name for v in node.variables))
-                for path, node in nodes
-                if node.is_basic
-            )
-        return table
+        its variable names; a path outside the scheme raises."""
+        nodes = [(path, self.node_at(path)) for path in sorted(paths)]
+        return tuple(
+            (path, frozenset(v.name for v in node.variables))
+            for path, node in nodes
+            if node.is_basic
+        )
 
     @cached_property
     def variables(self) -> tuple[str, ...]:
         """Variable names in left-to-right scheme order."""
         return tuple(self._sites)
+
+    def mask_of(self, names: Container[str]) -> int:
+        """Bit mask of the scheme variables among ``names``: the one bit
+        order, bit j for ``variables[j]``."""
+        return sum(1 << j for j, v in enumerate(self.variables) if v in names)
+
+    def names_of(self, mask: int) -> frozenset[str]:
+        """The variables whose bits are set in ``mask``."""
+        return frozenset(v for j, v in enumerate(self.variables) if mask >> j & 1)
 
     def variable_site(self, name: str) -> tuple[NodePath, int]:
         """Path of the basic proposition holding the variable, and its

@@ -1,7 +1,10 @@
 """Emphasis enumeration, blocking checks, and case assignment."""
 
+import itertools
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from emphase.emphasis import (
     EmphasisAssignment,
     Oblique,
     assign_cases,
-    blocking_subsets,
+    blocking_table,
     check_blocking,
     check_emphasis,
     direct_cases,
@@ -45,6 +48,10 @@ from bruteforce import (
     random_table,
 )
 from conftest import ACT, CHAIN_GET, CHAIN_LOSE, PATTERNS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import fields  # noqa: E402
 
 
 def test_exactly_four_assignments(field):
@@ -122,39 +129,43 @@ def test_emphasis_from_a_path_outside_the_scheme_is_refused(start, branches):
 # Blocking
 
 
+def blocking_offenders(scheme, emphasis, blocking):
+    """``check_blocking`` for a ``BlockingSet``, as ``pipeline.form_for_entry`` calls it."""
+    return check_blocking(blocking_table(scheme, emphasis), scheme.mask_of(blocking.blocked))
+
+
 def test_blocking_ok_for_lose_pattern(field):
     emphasis, blocking = PATTERNS["verlieren"]
-    assert check_blocking(field.scheme, emphasis, blocking) == []
+    assert blocking_offenders(field.scheme, emphasis, blocking) == []
 
 
 def test_blocking_violation_at_act(field):
     emphasis = EmphasisAssignment(ACT | CHAIN_LOSE)
     blocking = BlockingSet(frozenset({"a", "a1", "a2"}))
-    assert check_blocking(field.scheme, emphasis, blocking) == [(0,)]
+    assert blocking_offenders(field.scheme, emphasis, blocking) == [(0,)]
 
 
 def test_empty_blocking_always_ok(field):
     for assignment in enumerate_emphasis(field):
-        assert check_blocking(field.scheme, assignment, BlockingSet(frozenset())) == []
+        assert blocking_offenders(field.scheme, assignment, BlockingSet(frozenset())) == []
 
 
 def test_fully_blocked_chain_reported(field):
     emphasis, _ = PATTERNS["verlieren"]
     blocking = BlockingSet(frozenset({"a3", "a4"}))
-    assert check_blocking(field.scheme, emphasis, blocking) == [(1, 1, 0, 0)]
+    assert blocking_offenders(field.scheme, emphasis, blocking) == [(1, 1, 0, 0)]
 
 
 def test_check_blocking_reports_in_path_order(field):
     emphasis = EmphasisAssignment(ACT | CHAIN_LOSE)
     blocking = BlockingSet(frozenset(field.scheme.variables))
-    assert check_blocking(field.scheme, emphasis, blocking) == [(0,), (1, 1, 0, 0)]
+    assert blocking_offenders(field.scheme, emphasis, blocking) == [(0,), (1, 1, 0, 0)]
 
 
 def test_check_blocking_rejects_path_outside_scheme(field):
     emphasis = EmphasisAssignment(ACT | frozenset({(1, 7)}))
-    for _ in range(2):  # a failed lookup is not kept
-        with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
-            check_blocking(field.scheme, emphasis, BlockingSet(frozenset()))
+    with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
+        blocking_table(field.scheme, emphasis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,38 +185,53 @@ def test_emphatic_variables_and_blocking_match_their_definitions(seed):
             if scheme.node_at(path).is_basic
             and {v.name for v in scheme.node_at(path).variables} <= blocked
         )
-        assert check_blocking(scheme, emphasis, BlockingSet(blocked)) == offending
+        assert blocking_offenders(scheme, emphasis, BlockingSet(blocked)) == offending
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_a_blocking_index_has_the_bits_of_its_blocked_variables(seed):
+    # the one bit order, both ways: bit j stands for the j-th scheme variable
     scheme = random_scheme(random.Random(seed))
-    blockings = blocking_subsets(scheme)
-    assert len(blockings) == 2 ** len(scheme.variables)
-    for index, blocking in enumerate(blockings):
-        assert type(blocking) is BlockingSet
-        assert blocking.blocked == frozenset(
-            v for j, v in enumerate(scheme.variables) if index >> j & 1
-        )
+    variables = scheme.variables
+    for mask in range(1 << len(variables)):
+        names = scheme.names_of(mask)
+        assert names == frozenset(v for j, v in enumerate(variables) if mask >> j & 1)
+        assert scheme.mask_of(names) == mask
+        assert scheme.mask_of(names | {"not-a-variable"}) == mask
+    assert scheme.mask_of(variables) == (1 << len(variables)) - 1
+
+
+def _random_atlas(seed):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng)
+    fd = random_field(rng, scheme)
+    from emphase.roles import derive_case_frame
+
+    frame = derive_case_frame(scheme, random_table(rng, scheme))
+    return fd, frame, random_oblique(rng, frame), random_priority(rng)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_check_blocking_is_the_same_whether_the_table_was_filled_first_or_not(seed):
+    # nothing an enumeration leaves on a Scheme changes a later answer: two
+    # enumerations over one Scheme are equal, and its blocking tables answer
+    # as a fresh Scheme's do
+    fd, frame, oblique, priority = _random_atlas(seed)
+    first = enumerate_semantic_forms(fd, frame, oblique, priority)
+    second = enumerate_semantic_forms(fd, frame, oblique, priority)
+    assert [form_key(f) for f in first.forms] == [form_key(f) for f in second.forms]
+    assert first.rejected_blocking == second.rejected_blocking
+    assert first.rejected_assignment == second.rejected_assignment
+    fresh = Scheme(fd.scheme.root)
     rng = random.Random(seed)
-    fd = random_field(rng, random_scheme(rng))
-    filled = Scheme(fd.scheme.root)
-    emphases = enumerate_emphasis(fd)
-    for emphasis in emphases:
-        filled.basic_variables(emphasis.emphatic)
-    for emphasis in emphases:
+    for emphasis in enumerate_emphasis(fd):
+        table = blocking_table(fd.scheme, emphasis)
+        assert table == blocking_table(fresh, emphasis)
         for _ in range(4):
-            blocking = BlockingSet(frozenset(v for v in filled.variables if rng.random() < 0.5))
-            fresh = Scheme(fd.scheme.root)
-            first = check_blocking(fresh, emphasis, blocking)
-            assert emphasis.emphatic in fresh.basic_tables
-            assert type(first) is list
-            assert first == check_blocking(fresh, emphasis, blocking)
-            assert first == check_blocking(filled, emphasis, blocking)
+            blocked = rng.getrandbits(len(fresh.variables))
+            assert check_blocking(table, blocked) == check_blocking(
+                blocking_table(fresh, emphasis), blocked
+            )
 
 
 @pytest.mark.parametrize(
@@ -330,9 +356,9 @@ def _counting_check_blocking(monkeypatch) -> list:
     calls = []
     original = emphasis_module.check_blocking
 
-    def counting(scheme, emphasis, blocking):
-        calls.append((emphasis, blocking))
-        return original(scheme, emphasis, blocking)
+    def counting(table, blocked):
+        calls.append((table, blocked))
+        return original(table, blocked)
 
     monkeypatch.setattr(emphasis_module, "check_blocking", counting)
     return calls
@@ -355,22 +381,50 @@ def test_check_blocking_once_per_pair(bundle, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_every_pair_accounted_for_on_random_fields(seed, monkeypatch):
-    rng = random.Random(seed)
-    scheme = random_scheme(rng)
-    fd = random_field(rng, scheme)
-    from emphase.roles import derive_case_frame
-
-    frame = derive_case_frame(scheme, random_table(rng, scheme))
+    fd, frame, oblique, priority = _random_atlas(seed)
     calls = _counting_check_blocking(monkeypatch)
-    enumeration = enumerate_semantic_forms(
-        fd, frame, random_oblique(rng, frame), random_priority(rng)
-    )
-    pairs = len(enumerate_emphasis(fd)) * 2 ** len(scheme.variables)
+    enumeration = enumerate_semantic_forms(fd, frame, oblique, priority)
+    pairs = len(enumerate_emphasis(fd)) * 2 ** len(fd.scheme.variables)
     assert len(calls) == pairs
     assert (
         len(enumeration.forms) + enumeration.rejected_blocking
         + enumeration.rejected_assignment
         == pairs
+    )
+
+
+def rejected_blocking_oracle(scheme, emphases) -> int:
+    """Pairs, over all blocked sets, in which some emphatic basic
+    proposition has every variable blocked."""
+    rejected = 0
+    for emphatic_paths in emphases:
+        basics = [
+            {v.name for v in scheme.node_at(path).variables}
+            for path in emphatic_paths
+            if scheme.node_at(path).is_basic
+        ]
+        for flags in itertools.product((False, True), repeat=len(scheme.variables)):
+            blocked = {v for v, flag in zip(scheme.variables, flags) if flag}
+            rejected += any(names <= blocked for names in basics)
+    return rejected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rejected_blocking_counts_the_blocked_out_pairs_on_random_fields(seed):
+    fd, frame, oblique, priority = _random_atlas(seed)
+    enumeration = enumerate_semantic_forms(fd, frame, oblique, priority)
+    assert enumeration.rejected_blocking == rejected_blocking_oracle(
+        fd.scheme, emphasis_oracle(fd)
+    )
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_rejected_blocking_counts_the_blocked_out_pairs_on_the_bench_fields(tmp_path, k):
+    bundle = load_bundle(fields.config_for(fields.write_field(tmp_path, k, 1)))
+    emphases = [a.emphatic for a in enumerate_emphasis(bundle.field)]
+    assert bundle.enumerate_forms().rejected_blocking == rejected_blocking_oracle(
+        bundle.field.scheme, emphases
     )
 
 

@@ -137,7 +137,6 @@ def test_basic_variables_match_a_plain_walk(seed):
         paths = frozenset(rng.sample(scheme.paths, rng.randint(0, len(scheme.paths))))
         expected = tuple((path, names) for path, names in basic if path in paths)
         assert scheme.basic_variables(paths) == expected
-        assert scheme.basic_variables(paths) == expected  # from the kept table
 
 
 def test_basic_variables_refuse_a_path_outside_the_scheme_every_time(field):
