@@ -259,9 +259,8 @@ BlockingTable = tuple[tuple[NodePath, int], ...]
 
 
 def blocking_table(scheme: Scheme, emphasis: EmphasisAssignment) -> BlockingTable:
-    """The emphatic basic propositions, in path order, each with the mask
-    of its variables (``Scheme.mask_of``): what ``check_blocking`` reads.
-    A path outside the scheme raises ``SchemeError``."""
+    """(path, variable mask) of each emphatic basic proposition, in path
+    order; a path outside the scheme raises ``SchemeError``."""
     return tuple(
         (path, scheme.mask_of(names))
         for path, names in scheme.basic_variables(emphasis.emphatic)
@@ -335,14 +334,14 @@ def direct_cases(
 
 def _realization(
     case_frame: CaseFrame,
-    blocking: BlockingSet,
+    blocked: frozenset[str],
     assigned: dict[str, DirectCase],
     oblique_table: ObliqueTable,
 ) -> Realization:
     """Blocked, direct or oblique for every role of the frame."""
     entries: list[tuple[str, RoleRealization]] = []
     for v, role in case_frame.items():
-        if v in blocking:
+        if v in blocked:
             entries.append((v, BLOCKED))
         elif v in assigned:
             entries.append((v, assigned[v]))
@@ -370,7 +369,7 @@ def assign_cases(
     obliques go to non-emphatic unblocked roles via the preposition table.
     """
     assigned = direct_cases(case_frame, emphatic - blocking.blocked, priority)
-    return _realization(case_frame, blocking, assigned, oblique_table)
+    return _realization(case_frame, blocking.blocked, assigned, oblique_table)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +388,14 @@ def enumerate_semantic_forms(
     oblique_table: ObliqueTable,
     priority: CasePriority,
 ) -> FormEnumeration:
-    """Every (emphasis, blocking) pair that survives the blocking rule
-    and case assignment, packaged as semantic forms in canonical order:
-    by emphasis, then by blocking mask (``Scheme.mask_of``).
+    """Every (emphasis, blocking) pair that survives the blocking rule and
+    case assignment, as semantic forms in canonical order: by emphasis,
+    then by blocking mask (``Scheme.mask_of``).
 
     ``check_blocking``, called once per pair, is all a pair costs.  Case
     assignment runs only on the supersets of the must-block mask (frame
     variables that, verbalized, would be non-emphatic with no oblique
-    entry): every other pair fails it.  Direct cases are memoized per
-    mask of unblocked frame-emphatic variables.
+    entry), with direct cases memoized per unblocked frame-emphatic mask.
     """
     scheme = field.scheme
     forms: list[SemanticForm] = []
@@ -410,7 +408,10 @@ def enumerate_semantic_forms(
     emphases = enumerate_emphasis(field)
     for emphasis in emphases:
         table = blocking_table(scheme, emphasis)
-        rejected = bytes(map(bool, map(check_blocking, itertools.repeat(table), masks)))
+        rejected = bytearray(len(masks))
+        for mask in masks:  # a call from Python code costs less than one from map
+            if check_blocking(table, mask):
+                rejected[mask] = 1
         rejected_blocking += rejected.count(1)
         emphatic = emphatic_variables(scheme, emphasis)
         emphatic_mask = scheme.mask_of(emphatic)
@@ -432,13 +433,13 @@ def enumerate_semantic_forms(
             assigned = outcomes[unblocked]
             if assigned is None:
                 continue
-            blocking = BlockingSet(scheme.names_of(blocked))
+            names = scheme.names_of(blocked)
             forms.append(
                 SemanticForm(
                     field_name=field.name,
                     emphasis=emphasis,
-                    blocking=blocking,
-                    realization=_realization(case_frame, blocking, assigned, oblique_table),
+                    blocking=BlockingSet(names),
+                    realization=_realization(case_frame, names, assigned, oblique_table),
                     case_frame=frame_items,
                     emphatic_variables=emphatic,
                 )

@@ -136,8 +136,7 @@ class Scheme(_SchemeFields):
         return tuple(self._sites)
 
     def mask_of(self, names: Container[str]) -> int:
-        """Bit mask of the scheme variables among ``names``: the one bit
-        order, bit j for ``variables[j]``."""
+        """Bit mask of the scheme variables in ``names``: bit j is ``variables[j]``."""
         return sum(1 << j for j, v in enumerate(self.variables) if v in names)
 
     def names_of(self, mask: int) -> frozenset[str]:

@@ -34,6 +34,7 @@ from emphase.errors import (
     SchemeError,
 )
 from emphase.pipeline import Config, load_bundle
+from emphase.roles import derive_case_frame
 from emphase.scheme import FieldDefinition, Proposition, Scheme, Variable, parse_field
 from emphase.sexpr import write
 
@@ -205,8 +206,6 @@ def _random_atlas(seed):
     rng = random.Random(seed)
     scheme = random_scheme(rng)
     fd = random_field(rng, scheme)
-    from emphase.roles import derive_case_frame
-
     frame = derive_case_frame(scheme, random_table(rng, scheme))
     return fd, frame, random_oblique(rng, frame), random_priority(rng)
 
