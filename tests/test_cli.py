@@ -673,6 +673,25 @@ def test_deeply_nested_binding_fails_cleanly(tmp_path):
     assert "deeper than" in lines[0]
 
 
+def test_integer_past_a_lowered_digit_limit_fails_cleanly(tmp_path):
+    """The reader follows the interpreter's limit on integer digits, which
+    the environment can lower below its default of 4300."""
+    field = tmp_path / "long.field"
+    field.write_text("(field f " + "7" * 700 + ")")
+    src = str(Path(emphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run(
+        [sys.executable, "-m", "emphase.cli", "frame", "--field", str(field)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "emphase: error [load]: 1:10: integer too long"
+
+
 def test_bad_utf8_binding_is_input_error(capsys, tmp_path):
     bad = tmp_path / "latin1.binding"
     bad.write_bytes("(binding (ref ?a jürgen person))".encode("latin-1"))

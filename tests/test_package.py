@@ -6,10 +6,13 @@ import importlib
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 import typing
 from pathlib import Path
+
+import pytest
 
 import emphase
 
@@ -121,3 +124,31 @@ def test_record_fields_are_annotated_with_evaluated_types():
         "lexicon.AllOf.items", "lexicon.AnyOf.items", "lexicon.Negation.item",
         "scheme.Proposition.args", "spl._SplFields.slots",
     }
+
+
+def test_the_oldest_supported_python_reads_the_data_and_generates():
+    """``requires-python`` names 3.10: under it the reader takes every
+    shipped data file and ``generate`` writes the golden sentence."""
+    python = shutil.which("python3.10")
+    if python is None:
+        pytest.skip("no python3.10 on PATH")
+    src = Path(emphase.__file__).resolve().parent.parent
+    data = src / "emphase" / "data"
+    # a pyenv shim runs an installed 3.10 only when asked for one
+    env = {**os.environ, "PYTHONPATH": str(src), "PYENV_VERSION": "3.10"}
+    probe = ("import sys; from pathlib import Path; from emphase import sexpr; "
+             "files = [p for p in Path(sys.argv[1]).rglob('*') if p.is_file()]; "
+             "[sexpr.read_all(p.read_text(encoding='utf-8')) for p in files]; "
+             "print(sys.version_info[:2], len(files))")
+    read = subprocess.run([python, "-c", probe, str(data)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    files = sum(1 for p in data.rglob("*") if p.is_file())
+    assert (read.returncode, read.stdout) == (0, f"(3, 10) {files}\n"), read.stderr
+    generate = subprocess.run(
+        [python, "-m", "emphase.cli", "generate", "--verb", "schicken",
+         "--bindings", str(data / "bindings" / "he-him-invitation.binding"),
+         "--emphasis-q", "emphatic"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert generate.returncode == 0, generate.stderr
+    assert generate.stdout.splitlines()[-1] == "Er schickt ihm eine Einladung."
