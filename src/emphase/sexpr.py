@@ -8,6 +8,13 @@ that runs to end of line.  Input is whitespace-insensitive; the writer
 emits the canonical form (one space between tokens, no trailing
 whitespace), so equal values always print byte-identically.
 
+The reader makes one pass: a single regular-expression scan splits the
+text into tokens, and one loop keeps a stack of the lists still open and
+converts each atom as it comes.  A token's line and column are counted
+only for an error.  An atom that does not read (a string never closed,
+an integer longer than ``int()`` converts) is reported before any
+bracket fault, wherever it sits in the text.
+
 The data-file parsers read each slot of a term through the accessors at
 the end of this module, so the kind of term a slot takes, and the error
 for any other, is decided here.
@@ -15,6 +22,7 @@ for any other, is decided here.
 
 import re
 from functools import lru_cache
+from itertools import islice
 from typing import TypeVar
 
 from .errors import ParseError
@@ -42,86 +50,85 @@ class QuotedString(str):
 Term = int | str | list
 
 
-# One alternative per token kind; together they match every character.
-_TOKENS = re.compile(
-    r"(\s+|;[^\n]*)"  # whitespace (str.isspace) or a comment
-    r"|([()])"
-    r'|"((?:[^"\\]|\\.)*)"'  # a quoted string's body
-    r'|([^\s()";]+)'  # a bare word
-    r'|(")',  # a string that is never closed
-    re.S,
-)
+# A paren, a comment, a quoted string, a bare word, or a '"' never
+# closed; whitespace (str.isspace) is what no alternative matches.
+_TOKEN = re.compile(r'[()]|;[^\n]*|"(?:[^"\\]|\\.)*"|[^\s()";]+|"', re.S)
 _ESCAPE = re.compile(r'\\(["\\])')
-
-# A token is (kind, value, offset) with kind "(", ")" or "atom".
-_Token = tuple[str, Term, int]
+_CONVERTED = '"-0123456789'  # first characters of the atoms _atom converts
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The error at the ``index``-th token of ``text``, with its position."""
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start()
     line = text.count("\n", 0, offset) + 1
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKENS.finditer(text):
-        _space, paren, string, word, unclosed = match.groups()
-        if paren:
-            tokens.append((paren, paren, match.start()))
-        elif string is not None:
-            tokens.append(("atom", QuotedString(_ESCAPE.sub(r"\1", string)), match.start()))
-        elif word:
-            atom: Term = word
-            if _is_int(word):
-                try:
-                    atom = int(word)
-                except ValueError:  # more digits than int() converts
-                    raise _error(text, match.start(), "integer too long") from None
-            tokens.append(("atom", atom, match.start()))
-        elif unclosed:
-            raise _error(text, match.start(), "unterminated string")
-    return tokens
+def _atom(text: str, index: int, token: str) -> Term:
+    """A quoted string, an integer, or a symbol that opens with ``-`` or a digit."""
+    if token[0] == '"':
+        if token == '"':
+            raise _error(text, index, "unterminated string")
+        return QuotedString(_ESCAPE.sub(r"\1", token[1:-1]))
+    if not _is_int(token):
+        return token
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise _error(text, index, "integer too long") from None
 
 
-def _parse(text: str, tokens: list[_Token], pos: int, depth: int = 1) -> tuple[Term, int]:
-    kind, value, offset = tokens[pos]
-    if kind == "atom":
-        return value, pos + 1
-    if kind == ")":
-        raise _error(text, offset, "unexpected ')'")
-    if depth > MAX_DEPTH:
-        raise _error(text, offset, f"terms nest deeper than {MAX_DEPTH} levels")
-    items: list[Term] = []
-    pos += 1
-    while True:
-        if pos >= len(tokens):
-            raise _error(text, offset, "missing ')' before end of input")
-        if tokens[pos][0] == ")":
-            return items, pos + 1
-        item, pos = _parse(text, tokens, pos, depth + 1)
-        items.append(item)
+def _misfit(text: str, tokens: list[str], index: int, message: str) -> ParseError:
+    """The bracket fault at ``tokens[index]``, or the first atom that does not read."""
+    for i, token in enumerate(tokens):
+        if token[0] in _CONVERTED:
+            _atom(text, i, token)
+    return _error(text, index, message)
+
+
+def _read(text: str, one: bool) -> list[Term]:
+    """The terms of ``text``; with ``one``, a token after the first is trailing material."""
+    tokens = _TOKEN.findall(text)
+    terms: list[Term] = []
+    items, stack = terms, []
+    for index, token in enumerate(tokens):
+        head = token[0]
+        if head == ";":
+            continue
+        if one and terms and not stack:
+            raise _misfit(text, tokens, index, "trailing material after term")
+        if head == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _misfit(text, tokens, index, f"terms nest deeper than {MAX_DEPTH} levels")
+            stack.append(items)
+            items = []
+            stack[-1].append(items)
+        elif head == ")":
+            if not stack:
+                raise _misfit(text, tokens, index, "unexpected ')'")
+            items = stack.pop()
+        else:
+            items.append(_atom(text, index, token) if head in _CONVERTED else token)
+    if stack:  # report the innermost list left open
+        index, depth = len(tokens), 0
+        while depth >= 0:
+            index -= 1
+            depth += (tokens[index] == ")") - (tokens[index] == "(")
+        raise _misfit(text, tokens, index, "missing ')' before end of input")
+    return terms
 
 
 def read(text: str) -> Term:
     """Read exactly one term; trailing material is an error."""
-    tokens = _tokenize(text)
-    if not tokens:
+    terms = _read(text, True)
+    if not terms:
         raise ParseError("empty input", 1, 1)
-    term, pos = _parse(text, tokens, 0)
-    if pos != len(tokens):
-        raise _error(text, tokens[pos][2], "trailing material after term")
-    return term
+    return terms[0]
 
 
 def read_all(text: str) -> list[Term]:
     """Read a whole file as a sequence of terms."""
-    tokens = _tokenize(text)
-    terms: list[Term] = []
-    pos = 0
-    while pos < len(tokens):
-        term, pos = _parse(text, tokens, pos)
-        terms.append(term)
-    return terms
+    return _read(text, False)
 
 
 def _is_int(word: str) -> bool:
