@@ -1,0 +1,117 @@
+"""Record the CLI transcript that ``test_cli_transcript.py`` compares with.
+
+Runs a fixed matrix of ``emphase`` invocations through ``cli.main`` in
+process, on the shipped bundle and on faulty data files that reach each
+stage's error line, and writes each one's exit code, stdout and stderr
+to ``cli_transcript.txt`` next to this file.  Re-record after
+a change that alters CLI output on purpose, and read the diff::
+
+    PYTHONPATH=src python tests/record_cli_transcript.py
+
+Each invocation is a block: ``$`` and its argv, ``?`` and the exit code,
+then one ``>`` line per stdout line and one ``!`` line per stderr line; a
+stream that does not end in a line break ends with ``\\ no newline``.
+Paths are written as ``{data}`` (the shipped data directory) and
+``{faulty}`` (where the faulty files are written).
+"""
+
+import contextlib
+import io
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+import emphase
+from emphase import cli
+
+TRANSCRIPT = Path(__file__).resolve().parent / "cli_transcript.txt"
+DATA = Path(emphase.__file__).resolve().parent / "data"
+
+# Faulty data files, by name: one lexicon per reason an entry can have no
+# form (every argument of an emphatic proposition blocked, no role
+# eligible for nominative, a verbalized non-emphatic role without an
+# oblique entry), then one fault for each other stage.
+FAULTY = {
+    "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2 ?a3 ?a4)
+  (event decay) (present-3sg "zerfällt"))""",
+    "erhalten.lex": """(verb "erhalten" (field change-of-possession)
+  (emphasis (1) (1 0) (1 0 0))
+  (blocked ?a ?a1 ?a3 ?a4)
+  (event receive) (present-3sg "erhält"))""",
+    "verlegen.lex": """(verb "verlegen" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1)
+  (event mislay) (present-3sg "verlegt"))""",
+    "empty.field": "",
+    "gap.rules": "(init have 1 (locat have)) (init act 1 (agens act))",
+    "ghost.binding": "(binding (ref ?a he person) (ref ?zz ghost person))",
+    "two-hyperthemes.script": "(sentence (hypertheme him)) (sentence (hypertheme her))",
+}
+
+FORMATS = ("text", "structured")
+LEMMAS = ("schicken", "verlieren", "wegwerfen", "geben")  # geben has no lexicon entry
+BINDINGS = ("{data}/bindings/he-him-invitation.binding", "{data}/bindings/she-key.binding")
+DECISIONS = ((), ("--emphasis-q", "emphatic"), ("--emphasis-q", "nonemphatic"),
+             ("--script", "{data}/discourse/biography.script"))
+FOCUS = ((), ("--focus", "recipient"), ("--focus", "actee"))
+
+
+def invocations() -> list[tuple[str, ...]]:
+    """The matrix, as argv with ``{data}`` and ``{faulty}`` unfilled."""
+    runs = [(command, "--format", fmt)
+            for command in ("frame", "forms", "check") for fmt in FORMATS]
+    for command, lemma, binding, decision, focus, fmt in itertools.product(
+        ("spl", "realize", "generate"), LEMMAS, BINDINGS, DECISIONS, FOCUS, FORMATS
+    ):
+        runs.append((command, "--verb", lemma, "--bindings", binding, *decision, *focus,
+                     "--format", fmt))
+    runs += [("plan", "--script", DECISIONS[3][1], "--referent", "him", "--format", fmt)
+             for fmt in FORMATS]
+    send = ("--bindings", BINDINGS[0])
+    for lemma in ("zerfallen", "erhalten", "verlegen"):
+        lexicon = ("--lexicon", f"{{faulty}}/{lemma}.lex")
+        runs += [("check", *lexicon), ("generate", "--verb", lemma, *send, *lexicon)]
+    runs += [
+        ("frame", "--field", "{faulty}/empty.field"),
+        ("frame", "--rules", "{faulty}/gap.rules"),
+        ("generate", "--verb", "schicken", "--bindings", "{faulty}/ghost.binding"),
+        ("generate", "--verb", "schicken", *send, "--script", "{faulty}/two-hyperthemes.script"),
+        ("plan", "--script", "{faulty}/two-hyperthemes.script"),
+    ]
+    return runs
+
+
+def _stream(mark: str, text: str) -> list[str]:
+    *lines, last = text.split("\n")
+    written = [f"{mark} {line}" if line else mark for line in lines]
+    return written + ([f"{mark} {last}", "\\ no newline"] if last else [])
+
+
+def transcript() -> str:
+    """The transcript of every invocation, as the recorder writes it."""
+    blocks = []
+    with tempfile.TemporaryDirectory() as faulty:
+        for name, text in FAULTY.items():
+            (Path(faulty) / name).write_text(text, encoding="utf-8")
+        places = {"{data}": str(DATA), "{faulty}": faulty}
+        for argv in invocations():
+            filled = list(argv)
+            for name, place in places.items():
+                filled = [arg.replace(name, place) for arg in filled]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(filled)
+            streams = [out.getvalue(), err.getvalue()]
+            for name, place in places.items():
+                streams = [text.replace(place, name) for text in streams]
+            blocks.append("\n".join([f"$ {' '.join(argv)}", f"? {code}",
+                                     *_stream(">", streams[0]), *_stream("!", streams[1])]))
+    return "\n".join(blocks) + "\n"
+
+
+if __name__ == "__main__":
+    TRANSCRIPT.write_text(transcript(), encoding="utf-8")
+    print(f"wrote {len(invocations())} invocations to {TRANSCRIPT}", file=sys.stderr)
