@@ -36,6 +36,7 @@ from .pipeline import (
     generate,
     load_binding,
     load_bundle,
+    path_text,
     read_data,
     staged,
 )
@@ -67,7 +68,7 @@ def _regular_file(value: str) -> Path:
             else "dangling symbolic link" if path.is_symlink()
             else "no such file"
         )
-        raise InputError(f"cannot read {path}: {problem}")
+        raise InputError(f"cannot read {path_text(path)}: {problem}")
     return path
 
 

@@ -16,14 +16,14 @@ Case assignment turns one (emphasis, blocking) pair into a realization:
   the preposition table; a missing entry is a hard error;
 * blocked roles receive no realization at all.
 
-Each emphatic basic proposition must keep at least one unblocked
-argument (``check_blocking``); pairs that fail case assignment are
-skipped and counted during enumeration.
-
-Enumeration works on blockings as bit masks (``Scheme.mask_of``): one
-``check_blocking`` call per (emphasis, blocking) pair, case assignment
-only on the supersets of the must-block mask, and a ``BlockingSet`` and
-a realization per form.
+``semantic_form`` is the one decision on an (emphasis, blocking) pair:
+the pair's form, or the typed reason the grammar rejects it.  Each
+emphatic basic proposition must keep at least one unblocked argument
+(``check_blocking``, else ``BlockedOutError``), then case assignment
+must place every role.  ``enumerate_semantic_forms`` is its bulk walk
+over every pair of a field: blockings as bit masks (``Scheme.mask_of``),
+one ``check_blocking`` call per pair, case assignment only on the
+supersets of the must-block mask, and the same form constructor.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from . import sexpr
 from .errors import (
+    BlockedOutError,
     CaseAssignmentError,
     MissingObliqueError,
     NoNominativeError,
@@ -248,23 +249,18 @@ def check_emphasis(field: FieldDefinition, assignment: EmphasisAssignment) -> li
     return problems
 
 
-def emphatic_variables(scheme: Scheme, assignment: EmphasisAssignment) -> frozenset[str]:
-    """Variables whose basic proposition is emphatic."""
-    return frozenset().union(
-        *(names for _, names in scheme.basic_variables(assignment.emphatic))
-    )
-
-
 BlockingTable = tuple[tuple[NodePath, int], ...]
 
 
-def blocking_table(scheme: Scheme, emphasis: EmphasisAssignment) -> BlockingTable:
-    """(path, variable mask) of each emphatic basic proposition, in path
-    order; a path outside the scheme raises ``SchemeError``."""
-    return tuple(
-        (path, scheme.mask_of(names))
-        for path, names in scheme.basic_variables(emphasis.emphatic)
-    )
+def emphasis_table(
+    scheme: Scheme, emphasis: EmphasisAssignment
+) -> tuple[BlockingTable, frozenset[str]]:
+    """The blocking table of an emphasis, (path, variable mask) of each emphatic
+    basic proposition in path order, and its emphatic variables, theirs; a
+    path outside the scheme raises ``SchemeError``."""
+    basics = scheme.basic_variables(emphasis.emphatic)
+    table = tuple((path, scheme.mask_of(names)) for path, names in basics)
+    return table, frozenset().union(*(names for _, names in basics))
 
 
 def check_blocking(table: BlockingTable, blocked: int) -> list[NodePath]:
@@ -332,15 +328,19 @@ def direct_cases(
     return assigned
 
 
-def _realization(
-    case_frame: CaseFrame,
+def _form(
+    field_name: str,
+    frame_items: tuple[tuple[str, Role], ...],
+    oblique_table: ObliqueTable,
+    emphasis: EmphasisAssignment,
+    emphatic: frozenset[str],
     blocked: frozenset[str],
     assigned: dict[str, DirectCase],
-    oblique_table: ObliqueTable,
-) -> Realization:
-    """Blocked, direct or oblique for every role of the frame."""
+) -> SemanticForm:
+    """The form of an admissible pair whose direct cases are ``assigned``:
+    each role of the frame blocked, direct or oblique."""
     entries: list[tuple[str, RoleRealization]] = []
-    for v, role in case_frame.items():
+    for v, role in frame_items:
         if v in blocked:
             entries.append((v, BLOCKED))
         elif v in assigned:
@@ -353,23 +353,30 @@ def _realization(
                     f"{role} (variable {v})"
                 )
             entries.append((v, Oblique(*oblique)))
-    return Realization(tuple(entries))
+    return SemanticForm(field_name, emphasis, BlockingSet(blocked), Realization(tuple(entries)),
+                        frame_items, emphatic)
 
 
-def assign_cases(
+def semantic_form(
+    field: FieldDefinition,
     case_frame: CaseFrame,
-    emphatic: frozenset[str],
-    blocking: BlockingSet,
     oblique_table: ObliqueTable,
     priority: CasePriority,
-) -> Realization:
-    """Realize every role of the frame, or raise when the data cannot.
-
-    Direct cases go to emphatic unblocked roles only (``direct_cases``);
-    obliques go to non-emphatic unblocked roles via the preposition table.
-    """
-    assigned = direct_cases(case_frame, emphatic - blocking.blocked, priority)
-    return _realization(case_frame, blocking.blocked, assigned, oblique_table)
+    emphasis: EmphasisAssignment,
+    blocked: frozenset[str],
+) -> SemanticForm:
+    """The form of the pair (``emphasis``, ``blocked`` variables), or the first
+    reason it is rejected: ``BlockedOutError`` (an emphatic basic proposition
+    keeps no argument), then ``NoNominativeError`` or ``CaseAssignmentError``
+    (``direct_cases``), then ``MissingObliqueError``."""
+    scheme = field.scheme
+    table, emphatic = emphasis_table(scheme, emphasis)
+    offending = check_blocking(table, scheme.mask_of(blocked))
+    if offending:
+        raise BlockedOutError(offending)
+    assigned = direct_cases(case_frame, emphatic - blocked, priority)
+    return _form(field.name, tuple(case_frame.items()), oblique_table, emphasis, emphatic,
+                 blocked, assigned)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +395,9 @@ def enumerate_semantic_forms(
     oblique_table: ObliqueTable,
     priority: CasePriority,
 ) -> FormEnumeration:
-    """Every (emphasis, blocking) pair that survives the blocking rule and
-    case assignment, as semantic forms in canonical order: by emphasis,
-    then by blocking mask (``Scheme.mask_of``).
+    """The forms ``semantic_form`` gives over every (emphasis, blocking)
+    pair of the field, in canonical order: by emphasis, then by blocking
+    mask (``Scheme.mask_of``); each rejected pair is counted by its reason.
 
     ``check_blocking``, called once per pair, is all a pair costs.  Case
     assignment runs only on the supersets of the must-block mask (frame
@@ -407,13 +414,12 @@ def enumerate_semantic_forms(
     outcomes: dict[int, dict[str, DirectCase] | None] = {}
     emphases = enumerate_emphasis(field)
     for emphasis in emphases:
-        table = blocking_table(scheme, emphasis)
+        table, emphatic = emphasis_table(scheme, emphasis)
         rejected = bytearray(len(masks))
         for mask in masks:  # a call from Python code costs less than one from map
             if check_blocking(table, mask):
                 rejected[mask] = 1
         rejected_blocking += rejected.count(1)
-        emphatic = emphatic_variables(scheme, emphasis)
         emphatic_mask = scheme.mask_of(emphatic)
         must_block = no_oblique & ~emphatic_mask
         free = subset = masks[-1] & ~must_block
@@ -433,17 +439,8 @@ def enumerate_semantic_forms(
             assigned = outcomes[unblocked]
             if assigned is None:
                 continue
-            names = scheme.names_of(blocked)
-            forms.append(
-                SemanticForm(
-                    field_name=field.name,
-                    emphasis=emphasis,
-                    blocking=BlockingSet(names),
-                    realization=_realization(case_frame, names, assigned, oblique_table),
-                    case_frame=frame_items,
-                    emphatic_variables=emphatic,
-                )
-            )
+            forms.append(_form(field.name, frame_items, oblique_table, emphasis, emphatic,
+                               scheme.names_of(blocked), assigned))
     rejected_assignment = len(emphases) * len(masks) - rejected_blocking - len(forms)
     return FormEnumeration(forms, rejected_blocking, rejected_assignment)
 

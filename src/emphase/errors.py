@@ -36,6 +36,15 @@ class SchemeError(InputError):
     """Scheme or field definition violates a structural invariant."""
 
 
+class BlockedOutError(InputError):
+    """``subject`` blocks every argument of the emphatic propositions at ``paths``."""
+
+    def __init__(self, paths: list, subject: str = "the blocking"):
+        super().__init__(f"{subject} blocks every argument of emphatic "
+                         f"proposition(s) {[list(p) for p in paths]}")
+        self.paths = paths
+
+
 class UnverbalizedRoleError(InputError):
     """A sentence-plan slot was requested for a role the form blocks."""
 

@@ -30,16 +30,14 @@ from .emphasis import (
     Oblique,
     ObliqueTable,
     SemanticForm,
-    assign_cases,
-    blocking_table,
-    check_blocking,
-    emphatic_variables,
     enumerate_semantic_forms,
     parse_case_priority,
     parse_oblique_table,
     pattern_text,
+    semantic_form,
 )
 from .errors import (
+    BlockedOutError,
     EmphaseError,
     FocusConflictError,
     InputError,
@@ -154,13 +152,19 @@ def staged(name: str):
         raise
 
 
+def path_text(path: DataPath) -> str:
+    """A path as a one-line error writes it: quoted if it is not printable."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def read_data(path: DataPath) -> str:
     """The text of a file; a failed read is an ``InputError``."""
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err  # no strerror on a decode error
-        raise InputError(f"cannot read {path}: {reason}") from None
+        raise InputError(f"cannot read {path_text(path)}: {reason}") from None
 
 
 class Bundle:
@@ -306,27 +310,12 @@ def load_binding(bundle: Bundle, text: str) -> Binding:
 
 
 def form_for_entry(bundle: Bundle, entry: VerbEntry) -> SemanticForm:
-    """Semantic form a lexicon entry lexicalizes."""
-    scheme = bundle.field.scheme
-    table = blocking_table(scheme, entry.emphasis)
-    offending = check_blocking(table, scheme.mask_of(entry.blocking.blocked))
-    if offending:
-        raise InputError(
-            f"verb {entry.lemma!r} blocks every argument of emphatic "
-            f"proposition(s) {[list(p) for p in offending]}"
-        )
-    emphatic = emphatic_variables(scheme, entry.emphasis)
-    realization = assign_cases(
-        bundle.case_frame, emphatic, entry.blocking, bundle.oblique_table, bundle.priority
-    )
-    return SemanticForm(
-        field_name=bundle.field.name,
-        emphasis=entry.emphasis,
-        blocking=entry.blocking,
-        realization=realization,
-        case_frame=tuple(bundle.case_frame.items()),
-        emphatic_variables=emphatic,
-    )
+    """Semantic form a lexicon entry lexicalizes (``emphasis.semantic_form``)."""
+    try:
+        return semantic_form(bundle.field, bundle.case_frame, bundle.oblique_table,
+                             bundle.priority, entry.emphasis, entry.blocking.blocked)
+    except BlockedOutError as err:
+        raise BlockedOutError(err.paths, f"verb {entry.lemma!r}") from None
 
 
 def frame_for_entry(bundle: Bundle, entry: VerbEntry) -> Frame:

@@ -396,6 +396,7 @@ _UNREADABLE = {
     "dangling symlink": "cannot read {path}: dangling symbolic link",
     "device": "cannot read {path}: not a regular file",
     "empty file": "1:1: empty input",
+    "line break": "cannot read {quoted}: no such file",
 }
 
 
@@ -411,6 +412,7 @@ def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stag
         "dangling symlink": tmp_path / "link",
         "device": Path(os.devnull),
         "empty file": tmp_path / "empty",
+        "line break": tmp_path / "no\nsuch",
     }[kind]
     if kind == "dangling symlink":
         path.symlink_to(tmp_path / "nowhere")
@@ -419,20 +421,24 @@ def test_a_path_flag_names_why_it_cannot_read(capsys, tmp_path, kind, argv, stag
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err.splitlines() == [
-        f"emphase: error [{stage}]: " + _UNREADABLE[kind].format(path=path)
+        f"emphase: error [{stage}]: "
+        + _UNREADABLE[kind].format(path=path, quoted=repr(str(path)))
     ]
 
 
-@pytest.mark.parametrize("argv, stage", [
-    (["frame", "--field"], "load"),
-    (["forms", "--format", "structured", "--field"], "load"),
+@pytest.mark.parametrize("argv, stage, name", [
+    (["frame", "--field"], "load", "locked"),
+    (["forms", "--format", "structured", "--field"], "load", "locked"),
     (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings",
-      BINDING_SEND, "--field"], "load"),
-    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"], "binding"),
-], ids=["frame", "forms", "generate", "bindings"])
-def test_a_file_that_cannot_be_read_names_why(capsys, monkeypatch, tmp_path, argv, stage):
-    # root reads a file whatever its mode, so the refusal is the read's own
-    path = tmp_path / "locked"
+      BINDING_SEND, "--field"], "load", "locked"),
+    (["generate", "--verb", "schicken", "--emphasis-q", "emphatic", "--bindings"], "binding",
+     "locked"),
+    (["frame", "--field"], "load", "u\nf.field"),
+], ids=["frame", "forms", "generate", "bindings", "line-break"])
+def test_a_file_that_cannot_be_read_names_why(capsys, monkeypatch, tmp_path, argv, stage, name):
+    # root reads a file whatever its mode, so the refusal is the read's own; a
+    # name with a line break is written quoted, so that the error stays one line
+    path = tmp_path / name
     path.write_text("(field f (scheme (have ?x)) (emphasis-start ()))")
     read_text = Path.read_text
 
@@ -444,8 +450,9 @@ def test_a_file_that_cannot_be_read_names_why(capsys, monkeypatch, tmp_path, arg
     monkeypatch.setattr(Path, "read_text", refuse)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
+    written = repr(str(path)) if "\n" in name else str(path)
     assert err.splitlines() == [
-        f"emphase: error [{stage}]: cannot read {path}: Permission denied"
+        f"emphase: error [{stage}]: cannot read {written}: Permission denied"
     ]
 
 

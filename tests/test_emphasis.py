@@ -17,17 +17,17 @@ from emphase.emphasis import (
     DirectCase,
     EmphasisAssignment,
     Oblique,
-    assign_cases,
-    blocking_table,
     check_blocking,
     check_emphasis,
     direct_cases,
-    emphatic_variables,
+    emphasis_table,
     enumerate_emphasis,
     enumerate_semantic_forms,
     pattern_text,
+    semantic_form,
 )
 from emphase.errors import (
+    BlockedOutError,
     CaseAssignmentError,
     MissingObliqueError,
     NoNominativeError,
@@ -131,8 +131,9 @@ def test_emphasis_from_a_path_outside_the_scheme_is_refused(start, branches):
 
 
 def blocking_offenders(scheme, emphasis, blocking):
-    """``check_blocking`` for a ``BlockingSet``, as ``pipeline.form_for_entry`` calls it."""
-    return check_blocking(blocking_table(scheme, emphasis), scheme.mask_of(blocking.blocked))
+    """``check_blocking`` for a ``BlockingSet``, as ``semantic_form`` calls it."""
+    table, _ = emphasis_table(scheme, emphasis)
+    return check_blocking(table, scheme.mask_of(blocking.blocked))
 
 
 def test_blocking_ok_for_lose_pattern(field):
@@ -166,7 +167,7 @@ def test_check_blocking_reports_in_path_order(field):
 def test_check_blocking_rejects_path_outside_scheme(field):
     emphasis = EmphasisAssignment(ACT | frozenset({(1, 7)}))
     with pytest.raises(SchemeError, match=re.escape("path [1, 7] out of range at index 1")):
-        blocking_table(field.scheme, emphasis)
+        emphasis_table(field.scheme, emphasis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,7 +177,7 @@ def test_emphatic_variables_and_blocking_match_their_definitions(seed):
     fd = random_field(rng, random_scheme(rng))
     scheme = fd.scheme
     for emphasis in enumerate_emphasis(fd):
-        assert emphatic_variables(scheme, emphasis) == frozenset(
+        assert emphasis_table(scheme, emphasis)[1] == frozenset(
             v for v in scheme.variables if scheme.variable_site(v)[0] in emphasis.emphatic
         )
         blocked = frozenset(v for v in scheme.variables if rng.random() < 0.5)
@@ -213,7 +214,7 @@ def _random_atlas(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_check_blocking_is_the_same_whether_the_table_was_filled_first_or_not(seed):
     # nothing an enumeration leaves on a Scheme changes a later answer: two
-    # enumerations over one Scheme are equal, and its blocking tables answer
+    # enumerations over one Scheme are equal, and its emphasis tables answer
     # as a fresh Scheme's do
     fd, frame, oblique, priority = _random_atlas(seed)
     first = enumerate_semantic_forms(fd, frame, oblique, priority)
@@ -224,12 +225,12 @@ def test_check_blocking_is_the_same_whether_the_table_was_filled_first_or_not(se
     fresh = Scheme(fd.scheme.root)
     rng = random.Random(seed)
     for emphasis in enumerate_emphasis(fd):
-        table = blocking_table(fd.scheme, emphasis)
-        assert table == blocking_table(fresh, emphasis)
+        table, emphatic = emphasis_table(fd.scheme, emphasis)
+        assert (table, emphatic) == emphasis_table(fresh, emphasis)
         for _ in range(4):
             blocked = rng.getrandbits(len(fresh.variables))
             assert check_blocking(table, blocked) == check_blocking(
-                blocking_table(fresh, emphasis), blocked
+                emphasis_table(fresh, emphasis)[0], blocked
             )
 
 
@@ -251,12 +252,13 @@ def test_node_at_out_of_range_message(field, path, message):
 # Case assignment
 
 
+def _semantic_form(bundle, emphasis, blocking):
+    return semantic_form(bundle.field, bundle.case_frame, bundle.oblique_table,
+                         bundle.priority, emphasis, blocking.blocked)
+
+
 def _assign(bundle, pattern_name):
-    emphasis, blocking = PATTERNS[pattern_name]
-    emphatic = emphatic_variables(bundle.field.scheme, emphasis)
-    return assign_cases(
-        bundle.case_frame, emphatic, blocking, bundle.oblique_table, bundle.priority
-    )
+    return _semantic_form(bundle, *PATTERNS[pattern_name]).realization
 
 
 def test_send_dative_pattern_cases(bundle):
@@ -290,22 +292,16 @@ def test_no_nominative_candidate(bundle):
     # only to-obj is emphatic and unblocked: nothing can take nominative
     emphasis = EmphasisAssignment(CHAIN_GET)
     blocking = BlockingSet(frozenset({"a", "a1", "a3", "a4"}))
-    emphatic = emphatic_variables(bundle.field.scheme, emphasis)
     with pytest.raises(NoNominativeError):
-        assign_cases(
-            bundle.case_frame, emphatic, blocking, bundle.oblique_table, bundle.priority
-        )
+        _semantic_form(bundle, emphasis, blocking)
 
 
 def test_missing_oblique_entry(bundle):
     # agens verbalized without emphasis: no preposition is attested
     emphasis = EmphasisAssignment(CHAIN_LOSE)
     blocking = BlockingSet(frozenset({"a1", "a2"}))
-    emphatic = emphatic_variables(bundle.field.scheme, emphasis)
     with pytest.raises(MissingObliqueError, match="agens"):
-        assign_cases(
-            bundle.case_frame, emphatic, blocking, bundle.oblique_table, bundle.priority
-        )
+        _semantic_form(bundle, emphasis, blocking)
 
 
 def test_direct_cases_follow_the_priority_orders(bundle):
@@ -390,6 +386,35 @@ def test_every_pair_accounted_for_on_random_fields(seed, monkeypatch):
         + enumeration.rejected_assignment
         == pairs
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_semantic_form_decides_each_pair_as_the_enumeration_does(seed):
+    # the enumeration is semantic_form's bulk walk: the same forms in the
+    # same order, and each rejected pair counted under its reason
+    fd, frame, oblique, priority = _random_atlas(seed)
+    scheme = fd.scheme
+    forms, blocked_out, unassigned = [], 0, 0
+    for emphasis in enumerate_emphasis(fd):
+        for mask in range(1 << len(scheme.variables)):
+            blocked = scheme.names_of(mask)
+            try:
+                forms.append(semantic_form(fd, frame, oblique, priority, emphasis, blocked))
+            except BlockedOutError as err:
+                blocked_out += 1
+                assert err.paths == sorted(
+                    path
+                    for path in emphasis.emphatic
+                    if scheme.node_at(path).is_basic
+                    and {v.name for v in scheme.node_at(path).variables} <= blocked
+                )
+            except (CaseAssignmentError, MissingObliqueError):
+                unassigned += 1
+    enumeration = enumerate_semantic_forms(fd, frame, oblique, priority)
+    assert forms == enumeration.forms
+    assert blocked_out == enumeration.rejected_blocking
+    assert unassigned == enumeration.rejected_assignment
 
 
 def rejected_blocking_oracle(scheme, emphases) -> int:

@@ -86,6 +86,34 @@ def test_only_the_error_and_staged_set_a_stage():
     assert sorted(setters) == ["errors.EmphaseError.__init__", "pipeline.staged"]
 
 
+def test_one_module_decides_an_emphasis_blocking_pair():
+    """``emphasis.semantic_form`` is the one decision on a pair, and the
+    enumerator its bulk walk: the blocking check, the direct cases and the
+    form constructor are called in ``emphasis.py`` alone, a ``SemanticForm``
+    is built in one place, and ``pipeline.py`` imports none of the three
+    (it imports the ``SemanticForm`` type for its annotations)."""
+    decision = {"SemanticForm", "check_blocking", "direct_cases", "_form"}
+    package = Path(emphase.__file__).resolve().parent
+    calls, pipeline_imports = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in decision:
+                    calls.append((path.name, name))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name == "pipeline.py":
+                pipeline_imports.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert sorted(calls) == [
+        ("emphasis.py", "SemanticForm"),
+        ("emphasis.py", "_form"), ("emphasis.py", "_form"),
+        ("emphasis.py", "check_blocking"), ("emphasis.py", "check_blocking"),
+        ("emphasis.py", "direct_cases"), ("emphasis.py", "direct_cases"),
+    ]
+    assert "semantic_form" in pipeline_imports
+    assert not pipeline_imports & (decision - {"SemanticForm"})
+
+
 def test_import_loads_no_code_generation_modules():
     """No record type goes through ``dataclasses``, whose import also pulls
     in ``inspect`` and ``ast``; ``-S`` keeps site packages from loading them."""
