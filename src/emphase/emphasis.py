@@ -256,8 +256,8 @@ def emphasis_table(
     scheme: Scheme, emphasis: EmphasisAssignment
 ) -> tuple[BlockingTable, frozenset[str]]:
     """The blocking table of an emphasis, (path, variable mask) of each emphatic
-    basic proposition in path order, and its emphatic variables, theirs; a
-    path outside the scheme raises ``SchemeError``."""
+    basic proposition in path order, and its emphatic variables, the union of
+    theirs; a path outside the scheme raises ``SchemeError``."""
     basics = scheme.basic_variables(emphasis.emphatic)
     table = tuple((path, scheme.mask_of(names)) for path, names in basics)
     return table, frozenset().union(*(names for _, names in basics))
