@@ -31,7 +31,8 @@ DATA = Path(emphase.__file__).resolve().parent / "data"
 # Faulty data files, by name: one lexicon per reason an entry can have no
 # form (every argument of an emphatic proposition blocked, no role
 # eligible for nominative, a verbalized non-emphatic role without an
-# oblique entry), then one fault for each other stage.
+# oblique entry), then one fault for each other stage, then process rules
+# that overlap: the shipped ones plus a second rule for directed-action.
 FAULTY = {
     "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
   (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
@@ -49,6 +50,8 @@ FAULTY = {
     "gap.rules": "(init have 1 (locat have)) (init act 1 (agens act))",
     "ghost.binding": "(binding (ref ?a he person) (ref ?zz ghost person))",
     "two-hyperthemes.script": "(sentence (hypertheme him)) (sentence (hypertheme her))",
+    "overlap.process": (DATA / "rules" / "change-of-possession.process").read_text(
+        encoding="utf-8") + "(process-rule directed-action (unblocked goal))\n",
 }
 
 FORMATS = ("text", "structured")
@@ -80,6 +83,7 @@ def invocations() -> list[tuple[str, ...]]:
         ("generate", "--verb", "schicken", "--bindings", "{faulty}/ghost.binding"),
         ("generate", "--verb", "schicken", *send, "--script", "{faulty}/two-hyperthemes.script"),
         ("plan", "--script", "{faulty}/two-hyperthemes.script"),
+        ("check", "--process", "{faulty}/overlap.process"),
     ]
     return runs
 
