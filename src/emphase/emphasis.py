@@ -24,6 +24,9 @@ must place every role.  ``enumerate_semantic_forms`` is its bulk walk
 over every pair of a field: blockings as bit masks (``Scheme.mask_of``),
 one ``check_blocking`` call per pair, case assignment only on the
 supersets of the must-block mask, and the same form constructor.
+Only the blocked emphatic variables decide a blocking check, so
+``emphasis_table`` holds the verdict for each of their 2^|E| subsets
+and a check is one lookup.
 """
 
 import itertools
@@ -249,28 +252,43 @@ def check_emphasis(field: FieldDefinition, assignment: EmphasisAssignment) -> li
     return problems
 
 
-BlockingTable = tuple[tuple[NodePath, int], ...]
+class BlockingTable(NamedTuple):
+    """The blocking verdicts of one emphasis: ``entries``, (path, variable mask)
+    of each emphatic basic proposition in path order; ``mask``, the union of
+    theirs; ``verdicts``, the offending paths for each subset of ``mask``.
+    Hashed by ``entries``, which decide the other two."""
+
+    entries: tuple[tuple[NodePath, int], ...]
+    mask: int
+    verdicts: dict[int, list[NodePath]]
+
+    def __hash__(self):
+        return hash(self.entries)
 
 
 def emphasis_table(
     scheme: Scheme, emphasis: EmphasisAssignment
 ) -> tuple[BlockingTable, frozenset[str]]:
-    """The blocking table of an emphasis, (path, variable mask) of each emphatic
-    basic proposition in path order, and its emphatic variables, the union of
-    theirs; a path outside the scheme raises ``SchemeError``."""
+    """The blocking table of an emphasis and its emphatic variables, those of
+    its emphatic basic propositions; a path outside the scheme raises
+    ``SchemeError``.  The table holds 2^|emphatic variables| verdicts."""
     basics = scheme.basic_variables(emphasis.emphatic)
-    table = tuple((path, scheme.mask_of(names)) for path, names in basics)
-    return table, frozenset().union(*(names for _, names in basics))
+    entries = tuple((path, scheme.mask_of(names)) for path, names in basics)
+    emphatic = frozenset().union(*(names for _, names in basics))
+    mask = subset = scheme.mask_of(emphatic)
+    verdicts = {}
+    for _ in range(1 << mask.bit_count()):
+        subset = (subset - mask) & mask  # each subset of mask, 0 first
+        verdicts[subset] = [path for path, names in entries if subset & names == names]
+    return BlockingTable(entries, mask, verdicts), emphatic
 
 
 def check_blocking(table: BlockingTable, blocked: int) -> list[NodePath]:
     """Paths of the table's propositions whose variables the mask ``blocked``
-    all blocks, in path order; empty means the blocking is admissible."""
-    offending: list[NodePath] = []
-    for path, names in table:
-        if blocked & names == names:
-            offending.append(path)
-    return offending
+    all blocks, in path order; empty means the blocking is admissible.  Only
+    the blocked emphatic variables decide it, so it is one lookup; the list
+    is the table's own."""
+    return table.verdicts[blocked & table.mask]
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +417,12 @@ def enumerate_semantic_forms(
     pair of the field, in canonical order: by emphasis, then by blocking
     mask (``Scheme.mask_of``); each rejected pair is counted by its reason.
 
-    ``check_blocking``, called once per pair, is all a pair costs.  Case
-    assignment runs only on the supersets of the must-block mask (frame
-    variables that, verbalized, would be non-emphatic with no oblique
-    entry), with direct cases memoized per unblocked frame-emphatic mask.
+    ``check_blocking``, called once per pair, is all a pair costs: one
+    lookup in the emphasis's verdict table, whose 2^|emphatic variables|
+    entries are built once per emphasis.  Case assignment runs only on the
+    supersets of the must-block mask (frame variables that, verbalized,
+    would be non-emphatic with no oblique entry), with direct cases
+    memoized per unblocked frame-emphatic mask.
     """
     scheme = field.scheme
     forms: list[SemanticForm] = []
@@ -420,7 +440,7 @@ def enumerate_semantic_forms(
             if check_blocking(table, mask):
                 rejected[mask] = 1
         rejected_blocking += rejected.count(1)
-        emphatic_mask = scheme.mask_of(emphatic)
+        emphatic_mask = table.mask
         must_block = no_oblique & ~emphatic_mask
         free = subset = masks[-1] & ~must_block
         for _ in range(1 << free.bit_count()):

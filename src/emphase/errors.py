@@ -83,8 +83,8 @@ class NoNominativeError(CaseAssignmentError):
     """No emphatic unblocked role is eligible for nominative."""
 
 
-class UnclassifiedFormError(RuleGapError):
-    """No process-type rule matches the semantic form.  The form's
+class SelectionError(RuleGapError):
+    """The process selection of a semantic form failed.  The form's
     ``pattern`` (emphasis, blocking), when given, is written only when
     the message is read: ``forms`` marks such a form without printing it."""
 
@@ -100,7 +100,11 @@ class UnclassifiedFormError(RuleGapError):
         return f"{super().__str__()} {pattern_text(*self.pattern)}"
 
 
-class AmbiguousProcessError(RuleGapError):
+class UnclassifiedFormError(SelectionError):
+    """No process-type rule matches the semantic form."""
+
+
+class AmbiguousProcessError(SelectionError):
     """The process selection of a form is not unique."""
 
 

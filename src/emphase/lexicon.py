@@ -301,7 +301,8 @@ def select_process_type(
     if len(matches) > 1:
         raise OverlappingRulesError(
             "process-type rules are not disjoint: "
-            + " and ".join(r.um_type for r in matches)
+            + " and ".join(r.um_type for r in matches),
+            (form.emphasis, form.blocking),
         )
     um_type = matches[0].um_type
     if upper_model is not None and um_type not in upper_model:

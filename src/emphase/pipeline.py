@@ -43,11 +43,14 @@ from .errors import (
     InputError,
     OverlappingRulesError,
     RuleGapError,
+    SelectionError,
 )
 from .lexicon import (
+    Negation,
     ProcessRule,
     ProcessSelection,
     RoleMapRule,
+    RoleTest,
     UpperModel,
     VerbEntry,
     parse_lexicon,
@@ -174,14 +177,14 @@ class Bundle:
     only needs the case frame never parses the lexicon, and overriding
     one file does not force the others to stay coherent with it.
     The enumeration, the frames of a lemma and the process selection of
-    a pattern are derived on first request and kept; a failed
-    derivation is not.
+    a key, rule gap or not, are derived on first request and kept; a
+    failed derivation of any other kind is not.
     """
 
     def __init__(self, config: Config):
         self.config = config
         self._frames: dict[str, list[Frame]] = {}
-        self._selections: dict[Pattern, ProcessSelection] = {}
+        self._selections: dict[tuple, ProcessSelection | SelectionError] = {}
 
     @staticmethod
     @staged("load")
@@ -281,16 +284,41 @@ class Bundle:
             self._frames[lemma] = frames
         return frames
 
+    @cached_property
+    def _selection_variables(self) -> frozenset[str]:
+        """The first variable of each label the process rules and role maps
+        name: all of a form's blocking that its selection reads."""
+        labels = {label for rule in self.role_maps for label in rule.label_priority}
+        conditions = [rule.condition for rule in self.process_rules]
+        while conditions:
+            condition = conditions.pop()
+            if isinstance(condition, RoleTest):
+                labels.add(condition.label)
+            else:
+                conditions.extend((condition.item,) if isinstance(condition, Negation)
+                                  else condition.items)
+        first = {role.label: v for v, role in reversed(self.case_frame.items())}
+        return frozenset(first[label] for label in labels if label in first)
+
     def selection(self, form: SemanticForm) -> ProcessSelection:
-        """Process type and participants of ``form``."""
-        pattern = (form.emphasis, form.blocking)
-        selection = self._selections.get(pattern)
-        if selection is None:
-            selection = select_process_type(
-                form, self.process_rules, self.role_maps, self.upper_model
-            )
-            self._selections[pattern] = selection
-        return selection
+        """Process type and participants of ``form``, classified once per key:
+        its emphasis and its blocked ``_selection_variables``.  Forms with one
+        key share the selection; a rule gap is raised anew for each form, and
+        names that form's pattern if it names one."""
+        key = (form.emphasis, form.blocking.blocked & self._selection_variables)
+        outcome = self._selections.get(key)
+        if outcome is None:
+            try:
+                outcome = select_process_type(
+                    form, self.process_rules, self.role_maps, self.upper_model
+                )
+            except SelectionError as err:
+                outcome = err.with_traceback(None)  # kept, so without this bundle's frames
+            self._selections[key] = outcome
+        if isinstance(outcome, SelectionError):
+            pattern = None if outcome.pattern is None else (form.emphasis, form.blocking)
+            raise type(outcome)(outcome.args[0], pattern)
+        return outcome
 
 
 def load_bundle(config: Config) -> Bundle:

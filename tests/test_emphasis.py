@@ -234,6 +234,24 @@ def test_check_blocking_is_the_same_whether_the_table_was_filled_first_or_not(se
             )
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_the_verdict_table_answers_every_mask_as_the_definition_does(seed):
+    # at most one verdict per subset of the emphatic variables, and for every
+    # blocking the emphatic basic propositions whose variables it all blocks
+    fd, *_ = _random_atlas(seed)
+    scheme = fd.scheme
+    for emphasis in enumerate_emphasis(fd):
+        table, emphatic = emphasis_table(scheme, emphasis)
+        assert len(table.verdicts) <= 2 ** len(emphatic)
+        basics = sorted(path for path in emphasis.emphatic if scheme.node_at(path).is_basic)
+        for mask in range(1 << len(scheme.variables)):
+            blocked = scheme.names_of(mask)
+            assert check_blocking(table, mask) == [
+                path for path in basics
+                if {v.name for v in scheme.node_at(path).variables} <= blocked
+            ]
+
+
 @pytest.mark.parametrize(
     "path, message",
     [

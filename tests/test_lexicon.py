@@ -172,6 +172,16 @@ def test_overlapping_rules_and_non_injective_map_are_told_apart(bundle, golden_f
     assert not isinstance(exc.value, OverlappingRulesError)
 
 
+def test_overlapping_rules_name_the_form_they_overlap_on(bundle, golden_forms):
+    rules, _ = parse_process_rules("(process-rule directed-action (unblocked goal))" * 2)
+    with pytest.raises(OverlappingRulesError) as raised:
+        select_process_type(golden_forms["schicken-dative"], rules, bundle.role_maps)
+    assert str(raised.value) == (
+        "process-type rules are not disjoint: directed-action and directed-action "
+        "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
+    )
+
+
 def test_both_dispositive_and_directed_occur(bundle, atlas):
     seen = set()
     for form in atlas.forms:

@@ -1,8 +1,11 @@
 """Bundle loading, frame selection, and end-to-end generation."""
 
 import gc
+import itertools
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,9 @@ from emphase.errors import (
     InputError,
     MissingRuleError,
     OrderingConflictError,
+    OverlappingRulesError,
     RuleGapError,
+    SelectionError,
     UnverbalizedRoleError,
 )
 from emphase.pipeline import (
@@ -35,6 +40,10 @@ from emphase.realize import inflect_np, np_spec_for, realize
 from emphase.spl import serialize_spl
 
 from conftest import PATTERNS, plan_list
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import fields  # noqa: E402
 
 
 def test_atlas_canonical_order_starts_with_dative_frame(atlas):
@@ -369,6 +378,54 @@ def test_check_and_forms_classify_each_form_once(monkeypatch):
     assert enumerated == Counter(forms=1)
     assert selected == Counter({pattern: 1 for pattern in bundle.atlas})
     assert len(bundle.atlas) == len(bundle.enumerate_forms().forms) == 15
+
+
+# process rules that read which goal is emphatic: on a bench field, forms
+# that block the same variables but pass emphasis to different branches
+# classify apart
+GOAL_EMPHASIS_RULES = """(process-rule directed-action (emphatic goal))
+(process-rule dispositive-material-action (not (emphatic goal)))
+(role-map actor agens source) (role-map recipient goal) (role-map actee to-obj from-obj)
+"""
+
+
+def _classified_config(tmp_path, case) -> Config:
+    """The shipped bundle; with process rules that overlap; with the bench
+    field (and lexicon) of a (seed, k); or with that of (1, 4) and rules
+    that read the goal's emphasis."""
+    config = Config.default()
+    process = {"overlap": read_data(config.process_path)
+               + "(process-rule directed-action (unblocked goal))\n",
+               "goal-emphasis": GOAL_EMPHASIS_RULES}.get(case)
+    if process is not None:
+        config.process_path = tmp_path / "test.process"
+        config.process_path.write_text(process, encoding="utf-8")
+    if case not in ("shipped", "overlap"):
+        seed, k = (1, 4) if case == "goal-emphasis" else case
+        spec = fields.write_field(tmp_path, k, seed)
+        config.field_path, config.lexicon_path = spec.field_path, spec.lexicon_path
+    return config
+
+
+@pytest.mark.parametrize("case", ["shipped", "overlap", "goal-emphasis", *(
+    pytest.param((seed, k), id=f"seed{seed}-k{k}")
+    for seed, k in itertools.product((1, 2, 3), (4, 5, 6, 7))
+)])
+def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, case):
+    """Each atlas outcome, classified once per selection key, is what
+    classifying its own form gives: the selection, or the error type and text."""
+    bundle = load_bundle(_classified_config(tmp_path, case))
+    for form, outcome in bundle.atlas.values():
+        try:
+            expected = lexicon.select_process_type(
+                form, bundle.process_rules, bundle.role_maps, bundle.upper_model
+            )
+        except SelectionError as err:
+            assert (type(outcome), str(outcome)) == (type(err), str(err))
+        else:
+            assert outcome == expected
+    if case == "overlap":
+        assert any(isinstance(o, OverlappingRulesError) for _, o in bundle.atlas.values())
 
 
 def test_a_bundle_with_rule_gaps_in_its_atlas_is_freed_without_the_collector():

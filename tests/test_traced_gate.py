@@ -1,5 +1,6 @@
 """The benchmark's traced gate, run in process on a small field: the
-atlas-scaling workload's pair identity must hold for ``forms``."""
+atlas-scaling workload's pair identity must hold for ``forms``, and
+process selection must run once per selection key, not once per form."""
 
 import contextlib
 import io
@@ -29,3 +30,6 @@ def test_forms_keeps_the_traced_pair_identity(tmp_path):
     assert code == 0
     assert layers.pairs_identity_holds(tracer)
     assert layers.op_metrics(tracer, 1)["emphasis.check_blocking_calls"] == spec.pairs
+    # the 160 forms share 17 selection keys, and each key is classified once
+    metrics = layers.op_metrics(tracer, 1)
+    assert (metrics["emphasis.forms"], metrics["lexicon.select_process_type_calls"]) == (160, 17)
