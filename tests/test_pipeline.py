@@ -380,41 +380,37 @@ def test_check_and_forms_classify_each_form_once(monkeypatch):
     assert len(bundle.atlas) == len(bundle.enumerate_forms().forms) == 15
 
 
-# process rules that read which goal is emphatic: on a bench field, forms
-# that block the same variables but pass emphasis to different branches
-# classify apart
+# the shipped process rules with a second rule for directed-action
+OVERLAP_RULES = (read_data(Config.default().process_path)
+                 + "(process-rule directed-action (unblocked goal))\n")
+# rules that read which goal is emphatic: on a bench field, forms that block
+# the same variables but pass emphasis to different branches classify apart
 GOAL_EMPHASIS_RULES = """(process-rule directed-action (emphatic goal))
 (process-rule dispositive-material-action (not (emphatic goal)))
 (role-map actor agens source) (role-map recipient goal) (role-map actee to-obj from-obj)
 """
 
 
-def _classified_config(tmp_path, case) -> Config:
-    """The shipped bundle; with process rules that overlap; with the bench
-    field (and lexicon) of a (seed, k); or with that of (1, 4) and rules
-    that read the goal's emphasis."""
+@pytest.mark.parametrize("field, process", [
+    pytest.param(None, None, id="shipped"),
+    pytest.param(None, OVERLAP_RULES, id="overlap"),
+    pytest.param((1, 4), GOAL_EMPHASIS_RULES, id="goal-emphasis"),
+    *(pytest.param((seed, k), None, id=f"seed{seed}-k{k}")
+      for seed, k in itertools.product((1, 2, 3), (4, 5, 6, 7))),
+])
+def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, field, process):
+    """Each atlas outcome, classified once per selection key, is what
+    classifying its own form gives: the selection, or the error type and
+    text.  ``field`` is the (seed, k) of a bench field, ``process`` the
+    text of the process rules; ``None`` keeps the shipped file."""
     config = Config.default()
-    process = {"overlap": read_data(config.process_path)
-               + "(process-rule directed-action (unblocked goal))\n",
-               "goal-emphasis": GOAL_EMPHASIS_RULES}.get(case)
+    if field is not None:
+        spec = fields.write_field(tmp_path, field[1], field[0])
+        config.field_path, config.lexicon_path = spec.field_path, spec.lexicon_path
     if process is not None:
         config.process_path = tmp_path / "test.process"
         config.process_path.write_text(process, encoding="utf-8")
-    if case not in ("shipped", "overlap"):
-        seed, k = (1, 4) if case == "goal-emphasis" else case
-        spec = fields.write_field(tmp_path, k, seed)
-        config.field_path, config.lexicon_path = spec.field_path, spec.lexicon_path
-    return config
-
-
-@pytest.mark.parametrize("case", ["shipped", "overlap", "goal-emphasis", *(
-    pytest.param((seed, k), id=f"seed{seed}-k{k}")
-    for seed, k in itertools.product((1, 2, 3), (4, 5, 6, 7))
-)])
-def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, case):
-    """Each atlas outcome, classified once per selection key, is what
-    classifying its own form gives: the selection, or the error type and text."""
-    bundle = load_bundle(_classified_config(tmp_path, case))
+    bundle = load_bundle(config)
     for form, outcome in bundle.atlas.values():
         try:
             expected = lexicon.select_process_type(
@@ -424,7 +420,7 @@ def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, case):
             assert (type(outcome), str(outcome)) == (type(err), str(err))
         else:
             assert outcome == expected
-    if case == "overlap":
+    if process is OVERLAP_RULES:
         assert any(isinstance(o, OverlappingRulesError) for _, o in bundle.atlas.values())
 
 
