@@ -32,7 +32,8 @@ DATA = Path(emphase.__file__).resolve().parent / "data"
 # form (every argument of an emphatic proposition blocked, no role
 # eligible for nominative, a verbalized non-emphatic role without an
 # oblique entry), then one fault for each other stage, then process rules
-# that overlap: the shipped ones plus a second rule for directed-action.
+# that overlap: the shipped ones plus a second rule for directed-action,
+# then one file per grammar with a clause repeated inside one term.
 FAULTY = {
     "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
   (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
@@ -52,6 +53,17 @@ FAULTY = {
     "two-hyperthemes.script": "(sentence (hypertheme him)) (sentence (hypertheme her))",
     "overlap.process": (DATA / "rules" / "change-of-possession.process").read_text(
         encoding="utf-8") + "(process-rule directed-action (unblocked goal))\n",
+    "two-schemes.field": """(field f (scheme (have ?x ?y)) (emphasis-start ())
+  (scheme (have ?x ?z)))""",
+    "two-branches.field": (DATA / "fields" / "change-of-possession.field").read_text(
+        encoding="utf-8").rstrip()[:-1] + "\n  (optional-branch (0)) (optional-branch))\n",
+    "two-events.lex": """(verb "verlieren" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2)
+  (event lose) (event win) (present-3sg "verliert"))""",
+    "two-orders.cases": (DATA / "rules" / "change-of-possession.cases").read_text(
+        encoding="utf-8") + "(dative-order source goal)\n",
+    "one-sentence-two-hyperthemes.script": "(sentence (hypertheme him) (hypertheme her))",
 }
 
 FORMATS = ("text", "structured")
@@ -84,6 +96,11 @@ def invocations() -> list[tuple[str, ...]]:
         ("generate", "--verb", "schicken", *send, "--script", "{faulty}/two-hyperthemes.script"),
         ("plan", "--script", "{faulty}/two-hyperthemes.script"),
         ("check", "--process", "{faulty}/overlap.process"),
+        ("frame", "--field", "{faulty}/two-schemes.field"),
+        ("frame", "--field", "{faulty}/two-branches.field"),
+        ("check", "--lexicon", "{faulty}/two-events.lex"),
+        ("check", "--cases", "{faulty}/two-orders.cases"),
+        ("plan", "--script", "{faulty}/one-sentence-two-hyperthemes.script"),
     ]
     return runs
 

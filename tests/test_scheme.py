@@ -249,6 +249,19 @@ def test_binding_equal_violated(field):
     assert "?a2" in str(violations[0]) and "?a4" in str(violations[0])
 
 
+@pytest.mark.parametrize("refs, message", [
+    ("(ref ?a she person) (ref ?a1 x1 person) (ref ?a2 key object) (ref ?a3 she person)"
+     " (ref ?a4 invitation object)", "(= ?a2 ?a4) violated"),
+    ("(ref ?a bob person) (ref ?a1 bob person) (ref ?a2 key object) (ref ?a3 bob person)"
+     " (ref ?a4 key object)", "(distinct ?a1 ?a3) violated"),
+    ("(ref ?a bob person) (ref ?a1 x1 person) (ref ?a2 key object) (ref ?a3 x3 person)"
+     " (ref ?a4 key object)", "(one-of (= ?a ?a1) (= ?a ?a3)) violated"),
+])
+def test_a_constraint_violation_writes_the_constraint_as_the_field_does(field, refs, message):
+    violations = validate_binding(field, parse_binding(f"(binding {refs})"))
+    assert [(v.kind, str(v)) for v in violations] == [("constraint", message)]
+
+
 def test_missing_variables_reported_each(field):
     binding = parse_binding("(binding (ref ?a she person))")
     violations = validate_binding(field, binding)
