@@ -16,15 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from . import sexpr
-from .discourse import (
-    EMPTY_STATE,
-    EmphasisQ,
-    decide_emphasis_q,
-    parse_script,
-    run_script,
-    status_of,
-    update_discourse,
-)
+from .discourse import EmphasisQ, decide_emphasis_q, parse_script, run_script, status_of
 from .emphasis import DirectCase, Oblique, RoleRealization
 from .errors import EmphaseError, InputError, RuleGapError, UnclassifiedFormError
 from .lexicon import ProcessSelection, match_verbs
@@ -253,17 +245,9 @@ def cmd_generate(args: argparse.Namespace, bundle: Bundle, parts: str) -> list[s
 
 def cmd_plan(args: argparse.Namespace) -> list[str]:
     updates = parse_script(read_data(_regular_file(args.script)))
+    state = run_script(updates)
     lines: list[str] = []
     structured = args.format == "structured"
-    state = EMPTY_STATE
-    for i, update in enumerate(updates, start=1):
-        state = update_discourse(state, update.mentions, update.hypertheme)
-        if not structured:
-            mention_text = " ".join(update.mentions) or "(none)"
-            line = f"sentence {i}: mentions {mention_text}"
-            if update.hypertheme:
-                line += f"; hypertheme {update.hypertheme}"
-            lines.append(line)
     if structured:
         term: list = [
             "plan-state",
@@ -280,6 +264,12 @@ def cmd_plan(args: argparse.Namespace) -> list[str]:
                 status_term.append("hypertheme")
             lines.append(sexpr.write(status_term))
     else:
+        for i, update in enumerate(updates, start=1):
+            mention_text = " ".join(update.mentions) or "(none)"
+            line = f"sentence {i}: mentions {mention_text}"
+            if update.hypertheme:
+                line += f"; hypertheme {update.hypertheme}"
+            lines.append(line)
         mentioned = " ".join(sorted(state.mentioned)) or "(none)"
         hypertheme = state.hypertheme or "(none)"
         lines.append(

@@ -104,17 +104,16 @@ def parse_script(text: str) -> list[SentenceUpdate]:
     updates: list[SentenceUpdate] = []
     for term in sexpr.read_all(text):
         _, args = sexpr.clause(term, "a script line", {"sentence": (0, None)})
-        mentions: tuple[str, ...] = ()
-        hypertheme = None
-        for clause in args:
-            head, rest = sexpr.clause(
-                clause, "a sentence clause", {"mentions": (0, None), "hypertheme": (1, 1)}
-            )
-            if head == "mentions":
-                mentions = tuple(sexpr.symbol(r, "a mentioned referent") for r in rest)
-            else:
-                hypertheme = sexpr.symbol(rest[0], "the hypertheme")
-        updates.append(SentenceUpdate(mentions, hypertheme))
+        found = sexpr.clauses(
+            args, "a sentence clause", {"mentions": (0, None), "hypertheme": (1, 1)}
+        )
+        values = {  # converted in clause order
+            head: tuple(sexpr.symbol(r, "a mentioned referent" if head == "mentions"
+                                     else "the hypertheme") for r in rest)
+            for head, rest in found.items()
+        }
+        (hypertheme,) = values.get("hypertheme", (None,))
+        updates.append(SentenceUpdate(values.get("mentions", ()), hypertheme))
     return updates
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     SchemeError,
 )
-from .roles import CaseFrame, Role
+from .roles import CaseFrame, Role, parse_role
 from .scheme import FieldDefinition, NodePath, Scheme
 
 
@@ -476,8 +476,7 @@ def parse_oblique_table(text: str) -> ObliqueTable:
         _, (role, preposition, case) = sexpr.clause(
             term, "an oblique entry", {"oblique": (3, 3)}
         )
-        label, anchor = sexpr.clause(role, "a (label anchor) role", (1, 1))
-        role = Role(label, sexpr.symbol(anchor[0], "a role anchor"))
+        role = parse_role(role)
         if role in entries:
             raise ParseError(f"duplicate oblique entry for {role}")
         entries[role] = (
@@ -496,12 +495,12 @@ _ORDERS = {
 
 def parse_case_priority(text: str) -> CasePriority:
     """Parse the nominative/dative/accusative label orders."""
-    orders: dict[str, tuple[str, ...]] = {}
-    for term in sexpr.read_all(text):
-        head, args = sexpr.clause(term, "a case-priority entry", _ORDERS)
-        if head in orders:
-            raise ParseError(f"duplicate {head} entry")
-        orders[head] = tuple(sexpr.symbol(x, f"a role label of ({head} ...)") for x in args)
+    orders = {
+        head: tuple(sexpr.symbol(x, f"a role label of ({head} ...)") for x in args)
+        for head, args in sexpr.clauses(
+            sexpr.read_all(text), "a case-priority entry", _ORDERS
+        ).items()
+    }
     if "nominative-order" not in orders:
         raise ParseError("case-priority data must define (nominative-order ...)")
     return CasePriority(

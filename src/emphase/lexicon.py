@@ -81,8 +81,8 @@ def parse_lexicon(text: str, field: FieldDefinition) -> list[VerbEntry]:
             raise ParseError("a verb entry starts with its quoted lemma")
 
         values: dict[str, object] = {}
-        for clause in args[1:]:
-            head, rest = sexpr.clause(clause, f"a clause of verb {lemma!r}", _VERB_CLAUSES)
+        found = sexpr.clauses(args[1:], f"a clause of verb {lemma!r}", _VERB_CLAUSES)
+        for head, rest in found.items():
             slot = f"the ({head} ...) of verb {lemma!r}"
             if head == "emphasis":
                 paths = frozenset(sexpr.path(p, slot) for p in rest)

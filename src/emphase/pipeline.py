@@ -46,11 +46,9 @@ from .errors import (
     SelectionError,
 )
 from .lexicon import (
-    Negation,
     ProcessRule,
     ProcessSelection,
     RoleMapRule,
-    RoleTest,
     UpperModel,
     VerbEntry,
     parse_lexicon,
@@ -286,19 +284,10 @@ class Bundle:
 
     @cached_property
     def _selection_variables(self) -> frozenset[str]:
-        """The first variable of each label the process rules and role maps
-        name: all of a form's blocking that its selection reads."""
-        labels = {label for rule in self.role_maps for label in rule.label_priority}
-        conditions = [rule.condition for rule in self.process_rules]
-        while conditions:
-            condition = conditions.pop()
-            if isinstance(condition, RoleTest):
-                labels.add(condition.label)
-            else:
-                conditions.extend((condition.item,) if isinstance(condition, Negation)
-                                  else condition.items)
-        first = {role.label: v for v, role in reversed(self.case_frame.items())}
-        return frozenset(first[label] for label in labels if label in first)
+        """The first variable of each label of the case frame: the variables
+        ``SemanticForm.variable_with_label`` returns, so all of a form's
+        blocking that its selection can read."""
+        return frozenset({role.label: v for v, role in reversed(self.case_frame.items())}.values())
 
     def selection(self, form: SemanticForm) -> ProcessSelection:
         """Process type and participants of ``form``, classified once per key:
@@ -481,8 +470,8 @@ def check_bundle(bundle: Bundle) -> CheckReport:
         if entry.declared_um is None:
             continue
         _, outcome = atlas[entry.emphasis, entry.blocking]
-        if isinstance(outcome, RuleGapError):
-            input_problems.append(f"{name}: {outcome}")
+        if isinstance(outcome, RuleGapError):  # its message, as name gives the pattern
+            input_problems.append(f"{name}: {outcome.args[0]}")
         elif outcome.um_type != entry.declared_um:
             input_problems.append(
                 f"{name} declares {entry.declared_um} but classifies as {outcome.um_type}"

@@ -121,6 +121,12 @@ def missing_rules(scheme: Scheme, table: RoleRuleTable) -> list[str]:
 # ---------------------------------------------------------------------------
 # Rule-table file
 
+def parse_role(term) -> Role:
+    """A ``(label anchor)`` role, as the rule and oblique tables write it."""
+    label, anchor = sexpr.clause(term, "a (label anchor) role", (1, 1))
+    return Role(label, sexpr.symbol(anchor[0], "a role anchor"))
+
+
 _RULES = {"init": (3, 3), "modify": (4, 4), "flip": (1, 1), "identity": (1, 1)}
 _POLARITIES = {POS: POS, NEG: NEG}
 
@@ -134,10 +140,7 @@ def parse_rule_table(text: str) -> RoleRuleTable:
     for term in sexpr.read_all(text):
         head, args = sexpr.clause(term, "a rule entry", _RULES)
         predicate = sexpr.symbol(args[0], f"the predicate of ({head} ...)")
-        roles = []  # the (label anchor) pairs of init and modify
-        for role in args[2:]:
-            label, anchor = sexpr.clause(role, "a (label anchor) role", (1, 1))
-            roles.append(Role(label, sexpr.symbol(anchor[0], "a role anchor")))
+        roles = [parse_role(role) for role in args[2:]]  # of init and modify
         if head == "init":
             key = (predicate, sexpr.integer(args[1], "the argument position of (init ...)"))
             if key in initial:

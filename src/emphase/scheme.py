@@ -165,24 +165,15 @@ class Equal(NamedTuple):
     left: str
     right: str
 
-    def __str__(self):
-        return f"(= ?{self.left} ?{self.right})"
-
 
 @distinct_by_type
 class Distinct(NamedTuple):
     left: str
     right: str
 
-    def __str__(self):
-        return f"(distinct ?{self.left} ?{self.right})"
-
 
 class OneOf(NamedTuple):
     options: tuple[Equal, ...]
-
-    def __str__(self):
-        return "(one-of {})".format(" ".join(str(o) for o in self.options))
 
 
 Constraint = Equal | Distinct | OneOf
@@ -274,34 +265,23 @@ def parse_field(text: str) -> FieldDefinition:
     """Parse a field definition file and verify its invariants."""
     _, args = sexpr.clause(sexpr.read(text), "a field file", {"field": (1, None)})
     name = sexpr.symbol(args[0], "the field name")
-
-    single: dict[str, object] = {}  # the scheme and emphasis-start terms
-    coref_terms: list = []
-    branches: tuple[NodePath, ...] | None = None
-    for term in args[1:]:
-        head, rest = sexpr.clause(term, "a field clause", _FIELD_CLAUSES)
-        if head == "coref":
-            coref_terms.extend(rest)
-        elif head == "optional-branch":
-            branches = tuple(sexpr.path(p, "an optional branch") for p in rest)
-        elif head in single:
-            raise ParseError(f"exactly one ({head} ...) clause")
-        else:
-            single[head] = rest[0]
+    found = sexpr.clauses(args[1:], "a field clause", _FIELD_CLAUSES)
+    branches = found.get("optional-branch")
+    if branches is not None:
+        branches = tuple(sexpr.path(p, "an optional branch") for p in branches)
     for head in ("scheme", "emphasis-start"):
-        if head not in single:
+        if head not in found:
             raise ParseError(f"field is missing its ({head} ...) clause")
 
-    scheme = Scheme(_build_proposition(single["scheme"]))
-    start = sexpr.path(single["emphasis-start"], "emphasis-start")
+    scheme = Scheme(_build_proposition(found["scheme"][0]))
+    start = sexpr.path(found["emphasis-start"][0], "emphasis-start")
     try:
         scheme.node_at(start)
     except SchemeError:
         raise SchemeError(f"emphasis-start path {list(start)} out of range") from None
 
-    constraints = tuple(
-        _build_constraint(t, "a coref constraint", _CONSTRAINTS) for t in coref_terms
-    )
+    coref = found.get("coref", ())
+    constraints = tuple(_build_constraint(t, "a coref constraint", _CONSTRAINTS) for t in coref)
     known = set(scheme.variables)
     for c in constraints:
         names = (
@@ -436,17 +416,19 @@ def validate_binding(fd: FieldDefinition, binding: Binding) -> list[Violation]:
     def decided(a: str, b: str) -> bool:
         return a in completed and b in completed
 
+    def same(pair: Equal | Distinct) -> bool:
+        return completed[pair.left].name == completed[pair.right].name
+
     for c in fd.constraints:
-        if isinstance(c, Equal):
-            if decided(c.left, c.right) and completed[c.left].name != completed[c.right].name:
-                violations.append(Violation("constraint", f"{c} violated"))
-        elif isinstance(c, Distinct):
-            if decided(c.left, c.right) and completed[c.left].name == completed[c.right].name:
-                violations.append(Violation("constraint", f"{c} violated"))
+        if isinstance(c, OneOf):
+            violated = all(decided(o.left, o.right) for o in c.options) and not any(
+                same(o) for o in c.options
+            )
+        elif isinstance(c, Equal):
+            violated = decided(c.left, c.right) and not same(c)
         else:
-            options = [o for o in c.options if decided(o.left, o.right)]
-            if len(options) == len(c.options) and not any(
-                completed[o.left].name == completed[o.right].name for o in options
-            ):
-                violations.append(Violation("constraint", f"{c} violated"))
+            violated = decided(c.left, c.right) and same(c)
+        if violated:
+            written = sexpr.write(_constraint_term(c))
+            violations.append(Violation("constraint", f"{written} violated"))
     return violations

@@ -17,7 +17,8 @@ bracket fault, wherever it sits in the text.
 
 The data-file parsers read each slot of a term through the accessors at
 the end of this module, so the kind of term a slot takes, and the error
-for any other, is decided here.
+for any other, is decided here.  ``clauses`` reads a bag of clauses, each
+head at most once, for every grammar that has one.
 """
 
 import re
@@ -246,3 +247,15 @@ def clause(
         )
         raise _wrong(term, slot, f"({head} ...) with {count} argument(s)")
     return head, args
+
+
+def clauses(terms: list[Term], slot: str, arities: dict[str, Arity]) -> dict[str, list]:
+    """The arguments of each ``clause`` among ``terms``, by head, in clause
+    order; a head that appears twice is an error."""
+    found: dict[str, list] = {}
+    for term in terms:
+        head, args = clause(term, slot, arities)
+        if head in found:
+            raise ParseError(f"{slot} repeats ({head} ...)")
+        found[head] = args
+    return found

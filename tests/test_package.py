@@ -57,6 +57,16 @@ def test_engine_modules_import_only_the_standard_library():
     assert outside == {}
 
 
+def test_the_pipeline_reads_no_process_condition():
+    """What a process selection reads is decided in ``emphasis`` and
+    ``lexicon``: the pipeline imports none of the condition types."""
+    path = Path(emphase.__file__).resolve().parent / "pipeline.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "ProcessRule" in imported
+    assert imported.isdisjoint({"RoleTest", "AllOf", "AnyOf", "Negation"})
+
+
 def _stage_setters(node: ast.AST, scope: str):
     """The qualified name of the function or class around each assignment
     to an attribute named ``stage``, or ``setattr`` of one, under ``node``."""

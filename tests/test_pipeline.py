@@ -389,12 +389,20 @@ GOAL_EMPHASIS_RULES = """(process-rule directed-action (emphatic goal))
 (process-rule dispositive-material-action (not (emphatic goal)))
 (role-map actor agens source) (role-map recipient goal) (role-map actee to-obj from-obj)
 """
+# rules that name one label of the frame's five: the selection key still
+# holds the first variable of every label
+GOAL_ONLY_RULES = """(process-rule directed-action (unblocked goal))
+(process-rule dispositive-material-action (blocked goal))
+(role-map recipient goal)
+"""
 
 
 @pytest.mark.parametrize("field, process", [
     pytest.param(None, None, id="shipped"),
     pytest.param(None, OVERLAP_RULES, id="overlap"),
     pytest.param((1, 4), GOAL_EMPHASIS_RULES, id="goal-emphasis"),
+    pytest.param(None, GOAL_ONLY_RULES, id="goal-only"),
+    pytest.param((1, 4), GOAL_ONLY_RULES, id="goal-only-seed1-k4"),
     *(pytest.param((seed, k), None, id=f"seed{seed}-k{k}")
       for seed, k in itertools.product((1, 2, 3), (4, 5, 6, 7))),
 ])

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emphase import sexpr
+from emphase import lexicon, scheme, sexpr
 from emphase.errors import ParseError
 from emphase.sexpr import QuotedString
 
@@ -227,6 +227,49 @@ def test_parsers_reject_a_wrong_kind_in_a_slot(parse, text, message):
     with pytest.raises(ParseError) as info:
         parser(text)
     assert str(info.value) == message
+
+
+def test_clauses_reads_each_head_once_in_clause_order():
+    arities = {"a": (0, 0), "b": (1, 1), "c": (0, None)}
+    found = sexpr.clauses(sexpr.read_all("(b 1) (a) (c 2 3)"), "an entry", arities)
+    assert list(found.items()) == [("b", [1]), ("a", []), ("c", [2, 3])]
+    with pytest.raises(ParseError) as info:
+        sexpr.clauses(sexpr.read_all("(a) (b 1) (a)"), "an entry", arities)
+    assert str(info.value) == "an entry repeats (a ...)"
+
+
+LEXICON_FIELD = "(field f (scheme (have ?x ?y)) (emphasis-start ()))"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    ("scheme.parse_field", "(field f (scheme (have ?x)) (emphasis-start ()) (scheme (have ?y)))",
+     "a field clause repeats (scheme ...)"),
+    ("scheme.parse_field",
+     "(field f (scheme (have ?x)) (emphasis-start ()) (optional-branch) (optional-branch))",
+     "a field clause repeats (optional-branch ...)"),
+    ("scheme.parse_field", "(field f (scheme (have ?x ?y)) (emphasis-start ()) "
+     "(coref (= ?x ?y)) (coref (distinct ?x ?y)))", "a field clause repeats (coref ...)"),
+    ("lexicon.parse_lexicon", '(verb "x" (event lose) (event win))',
+     "a clause of verb 'x' repeats (event ...)"),
+    ("emphasis.parse_case_priority", "(nominative-order agens) (nominative-order goal)",
+     "a case-priority entry repeats (nominative-order ...)"),
+    ("discourse.parse_script", "(sentence (hypertheme him) (hypertheme her))",
+     "a sentence clause repeats (hypertheme ...)"),
+])
+def test_parsers_reject_a_repeated_clause(parse, text, message):
+    module, name = parse.split(".")
+    parser = getattr(importlib.import_module(f"emphase.{module}"), name)
+    context = [scheme.parse_field(LEXICON_FIELD)] if name == "parse_lexicon" else []
+    with pytest.raises(ParseError) as info:
+        parser(text, *context)
+    assert str(info.value) == message
+
+
+def test_a_clause_value_is_read_before_a_missing_clause_is_named():
+    field = scheme.parse_field(LEXICON_FIELD)
+    with pytest.raises(ParseError) as info:
+        lexicon.parse_lexicon('(verb "x" (event "lose"))', field)
+    assert str(info.value) == "the (event ...) of verb 'x' must be a symbol, got \"lose\""
 
 
 @pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
