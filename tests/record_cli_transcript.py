@@ -33,7 +33,8 @@ DATA = Path(emphase.__file__).resolve().parent / "data"
 # eligible for nominative, a verbalized non-emphatic role without an
 # oblique entry), then one fault for each other stage, then process rules
 # that overlap: the shipped ones plus a second rule for directed-action,
-# then one file per grammar with a clause repeated inside one term.
+# then one file per grammar with a clause repeated inside one term, then
+# one file per data-file fault that the lines above do not reach.
 FAULTY = {
     "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
   (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
@@ -64,6 +65,48 @@ FAULTY = {
     "two-orders.cases": (DATA / "rules" / "change-of-possession.cases").read_text(
         encoding="utf-8") + "(dative-order source goal)\n",
     "one-sentence-two-hyperthemes.script": "(sentence (hypertheme him) (hypertheme her))",
+    "two-entries.oblique": (DATA / "rules" / "change-of-possession.oblique").read_text(
+        encoding="utf-8") + '(oblique (goal have) "zu" dative)\n',
+    "no-nominative.cases": "(dative-order goal source) (accusative-order to-obj from-obj)",
+    "empty-lemma.lex": """(verb "" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2)
+  (event lose) (present-3sg "verliert"))""",
+    "blocked-twice.lex": """(verb "verlieren" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2 ?a)
+  (event lose) (present-3sg "verliert"))""",
+    "no-event.lex": """(verb "verlieren" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2)
+  (present-3sg "verliert"))""",
+    "path-nine.lex": """(verb "verlieren" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0) (9))
+  (blocked ?a ?a1 ?a2)
+  (event lose) (present-3sg "verliert"))""",
+    "no-um.lex": """(verb "verlieren" (field change-of-possession)
+  (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
+  (blocked ?a ?a1 ?a2)
+  (event lose) (present-3sg "verliert"))""",
+    "two-types.um": (DATA / "upper-model.um").read_text(encoding="utf-8") + "(um-type entity)\n",
+    "two-modify.rules": (DATA / "rules" / "change-of-possession.rules").read_text(
+        encoding="utf-8") + "(modify bec pos (locat have) (goal have))\n",
+    "two-entries.np": (DATA / "lexicon" / "nps.lex").read_text(encoding="utf-8")
+        + "(pronoun he masc)\n",
+    "no-dative-pronoun.morph": (DATA / "lexicon" / "morphology.lex").read_text(
+        encoding="utf-8").replace("(pronoun-form masc dative ihm)\n", ""),
+    "stranger.binding": """(binding (ref ?a he person) (ref ?a1 stranger person)
+  (ref ?a2 invitation object) (ref ?a3 he person) (ref ?a4 invitation object))""",
+    "a4-only.binding": """(binding (ref ?a he person) (ref ?a1 him person)
+  (ref ?a3 he person) (ref ?a4 invitation object))""",
+    "empty-have.field": "(field f (scheme (have)) (emphasis-start ()))",
+    "basic-and-propositional.field": "(field f (scheme (p (p ?x))) (emphasis-start ()))",
+    "variable-predicate.field": "(field f (scheme (?p ?x)) (emphasis-start ()))",
+    "no-start.field": "(field f (scheme (have ?x ?y)))",
+    "recipient-source.process": (DATA / "rules" / "change-of-possession.process").read_text(
+        encoding="utf-8").replace("(role-map recipient goal)", "(role-map recipient goal source)"),
+    "three-schicken.lex": (DATA / "lexicon" / "change-of-possession.lex").read_text(
+        encoding="utf-8").replace('(verb "verlieren"', '(verb "schicken"'),
 }
 
 FORMATS = ("text", "structured")
@@ -101,6 +144,22 @@ def invocations() -> list[tuple[str, ...]]:
         ("check", "--lexicon", "{faulty}/two-events.lex"),
         ("check", "--cases", "{faulty}/two-orders.cases"),
         ("plan", "--script", "{faulty}/one-sentence-two-hyperthemes.script"),
+        ("plan", "--script", DECISIONS[3][1], "--field", "{faulty}"),
+        ("forms", "--oblique", "{faulty}/two-entries.oblique"),
+        ("forms", "--cases", "{faulty}/no-nominative.cases"),
+        *(("check", "--lexicon", f"{{faulty}}/{name}.lex")
+          for name in ("empty-lemma", "blocked-twice", "no-event", "path-nine", "no-um")),
+        ("check", "--um", "{faulty}/two-types.um"),
+        ("frame", "--rules", "{faulty}/two-modify.rules"),
+        ("check", "--np", "{faulty}/two-entries.np"),
+        ("check", "--morph", "{faulty}/no-dative-pronoun.morph"),
+        *(("generate", "--verb", "schicken", "--bindings", f"{{faulty}}/{name}.binding",
+           "--emphasis-q", "emphatic") for name in ("stranger", "a4-only")),
+        *(("frame", "--field", f"{{faulty}}/{name}.field")
+          for name in ("empty-have", "basic-and-propositional", "variable-predicate", "no-start")),
+        ("generate", "--verb", "schicken", *send, "--script", DECISIONS[3][1],
+         "--process", "{faulty}/recipient-source.process",
+         "--lexicon", "{faulty}/three-schicken.lex"),
     ]
     return runs
 

@@ -190,3 +190,20 @@ def test_the_oldest_supported_python_reads_the_data_and_generates():
     )
     assert generate.returncode == 0, generate.stderr
     assert generate.stdout.splitlines()[-1] == "Er schickt ihm eine Einladung."
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of the package imports is read in that module, or
+    is one of the package's exports: an import left behind by a change that
+    removed its last use fails here."""
+    package = Path(emphase.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)
+                   if name not in emphase.__all__]
+    assert unused == []

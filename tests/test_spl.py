@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from emphase import sexpr
 from emphase.discourse import EmphasisQ
-from emphase.errors import UnverbalizedRoleError
+from emphase.errors import ParseError, UnverbalizedRoleError
 from emphase.lexicon import select_process_type
 from emphase.sexpr import QuotedString
 from emphase.spl import SplTerm, build_spl, parse_spl, serialize_spl
@@ -117,6 +117,16 @@ def test_slotless_term_serialization():
 def test_keywords_must_begin_with_colon():
     with pytest.raises(ValueError):
         SplTerm("e", "action", (("actor", "x"),))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(send / action :actor)", "plan slots come in :keyword filler pairs"),
+    ("(send / action actor (he / person))", "expected a :keyword, got actor"),
+])
+def test_parse_refuses_a_slot_without_its_filler_or_its_colon(text, message):
+    with pytest.raises(ParseError) as refused:
+        parse_spl(text)
+    assert str(refused.value) == message
 
 
 def test_parse_inverts_serialize_on_goldens():
