@@ -294,25 +294,21 @@ def cmd_plan(args: argparse.Namespace) -> list[str]:
 
 def cmd_check(bundle: Bundle) -> tuple[list[str], int]:
     report = check_bundle(bundle)
-    lines = list(report.lines)
-    for problem in report.input_problems + report.rule_gaps:
-        lines.append(f"problem: {problem}")
+    lines = report.lines + [f"problem: {problem}" for problem, _ in report.problems]
     if report.ok:
         lines.append("ok")
-        return lines, 0
-    return lines, 2 if report.rule_gaps else 1
+    return lines, report.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            with staged("plan"):
-                print("\n".join(cmd_plan(args)))
-            return 0
         with staged("load"):
             bundle = load_bundle(_config_from(args))
-        if args.command == "frame":
+        if args.command == "plan":
+            with staged("plan"):
+                lines = cmd_plan(args)
+        elif args.command == "frame":
             lines = cmd_frame(bundle, args.format)
         elif args.command == "forms":
             lines = cmd_forms(bundle, args.format)

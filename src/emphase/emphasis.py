@@ -164,15 +164,6 @@ class SemanticForm(_FormFields):
     def variable_with_label(self, label: str) -> str | None:
         return self._by_label.get(label)
 
-    def is_emphatic(self, variable: str) -> bool:
-        return variable in self.emphatic_variables
-
-    def is_blocked(self, variable: str) -> bool:
-        return variable in self.blocking
-
-    def is_verbalized(self, variable: str) -> bool:
-        return variable not in self.blocking
-
 
 # ---------------------------------------------------------------------------
 # Emphasis enumeration

@@ -10,7 +10,9 @@ built-in ontology fragment (process > action > directed-action /
 dispositive-material-action) by evaluating data-driven conditions over
 role labels, and fills the participant roles (actor, recipient, actee)
 from label priority lists.  Both the conditions and the participant
-maps are plain data so a field can correct them without code changes.
+maps are plain data so a field can correct them without code changes;
+a condition is held as the term its file writes, and the upper model as
+its parent map.
 """
 
 from typing import NamedTuple
@@ -29,7 +31,7 @@ from .errors import (
     SchemeError,
     UnclassifiedFormError,
 )
-from .scheme import FieldDefinition, distinct_by_type
+from .scheme import FieldDefinition
 
 
 class VerbEntry(NamedTuple):
@@ -143,13 +145,8 @@ def parse_lexicon(text: str, field: FieldDefinition) -> list[VerbEntry]:
 # Upper-model fragment
 
 
-class UpperModel(NamedTuple):
-    """Subsumption fragment: type name -> parent name (None for roots)."""
-
-    parents: dict[str, str | None]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.parents
+# Subsumption fragment: type name -> parent name (None for roots)
+UpperModel = dict[str, str | None]
 
 
 def parse_upper_model(text: str) -> UpperModel:
@@ -170,54 +167,34 @@ def parse_upper_model(text: str) -> UpperModel:
                 raise ParseError(f"upper-model subsumption cycle at {current!r}")
             seen.add(current)
             current = parents.get(current)
-    return UpperModel(parents)
+    return parents
 
 
 # ---------------------------------------------------------------------------
 # Process-type rules
 
 
-class RoleTest(NamedTuple):
-    """Atomic condition over the role with the given label."""
-
-    kind: str  # emphatic | blocked | unblocked
-    label: str
-
-
-# As plain tuples, (and c) would equal (or c), and (not (not c)) would
-# equal (and c): both are one-item tuples of the same items.
-@distinct_by_type
-class AllOf(NamedTuple):
-    items: tuple["Condition", ...]
-
-
-@distinct_by_type
-class AnyOf(NamedTuple):
-    items: tuple["Condition", ...]
-
-
-@distinct_by_type
-class Negation(NamedTuple):
-    item: "Condition"
-
-
-Condition = RoleTest | AllOf | AnyOf | Negation
+# The term a rules file writes, its symbols checked: ("and", c, ...),
+# ("or", c, ...), ("not", c), or (kind, label) for the role with that label,
+# kind being emphatic, blocked or unblocked.
+Condition = tuple
 
 
 def evaluate_condition(condition: Condition, form: SemanticForm) -> bool:
-    if isinstance(condition, RoleTest):
-        variable = form.variable_with_label(condition.label)
-        if condition.kind == "emphatic":
-            return variable is not None and form.is_emphatic(variable)
-        if condition.kind == "unblocked":
-            return variable is not None and form.is_verbalized(variable)
-        # blocked: a role the frame lacks is trivially not verbalized
-        return variable is None or form.is_blocked(variable)
-    if isinstance(condition, AllOf):
-        return all(evaluate_condition(c, form) for c in condition.items)
-    if isinstance(condition, AnyOf):
-        return any(evaluate_condition(c, form) for c in condition.items)
-    return not evaluate_condition(condition.item, form)
+    head = condition[0]
+    if head == "and":
+        return all(evaluate_condition(c, form) for c in condition[1:])
+    if head == "or":
+        return any(evaluate_condition(c, form) for c in condition[1:])
+    if head == "not":
+        return not evaluate_condition(condition[1], form)
+    variable = form.variable_with_label(condition[1])
+    if head == "emphatic":
+        return variable is not None and variable in form.emphatic_variables
+    if head == "unblocked":
+        return variable is not None and variable not in form.blocking
+    # blocked: a role the frame lacks is trivially not verbalized
+    return variable is None or variable in form.blocking
 
 
 class ProcessRule(NamedTuple):
@@ -257,13 +234,9 @@ _CONDITIONS = {
 
 def _build_condition(term) -> Condition:
     head, args = sexpr.clause(term, "a condition", _CONDITIONS)
-    if head == "and":
-        return AllOf(tuple(_build_condition(t) for t in args))
-    if head == "or":
-        return AnyOf(tuple(_build_condition(t) for t in args))
-    if head == "not":
-        return Negation(_build_condition(args[0]))
-    return RoleTest(head, sexpr.symbol(args[0], f"the role label of ({head} ...)"))
+    if head in ("and", "or", "not"):
+        return (head, *map(_build_condition, args))
+    return (head, sexpr.symbol(args[0], f"the role label of ({head} ...)"))
 
 
 def parse_process_rules(text: str) -> tuple[list[ProcessRule], list[RoleMapRule]]:
@@ -328,7 +301,7 @@ def participants(
     for rule in role_maps:
         for label in rule.label_priority:
             variable = form.variable_with_label(label)
-            if variable is not None and form.is_verbalized(variable):
+            if variable is not None and variable not in form.blocking:
                 filled.append((rule.um_role, variable))
                 break
     return tuple(filled)

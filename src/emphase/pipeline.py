@@ -423,20 +423,26 @@ def generate(
 
 
 class CheckReport(NamedTuple):
+    """The verified claims, and each problem in the order it is written with
+    the exit status of its kind: ``exit_code`` of its error type."""
+
     lines: list[str]
-    input_problems: list[str]
-    rule_gaps: list[str]
+    problems: list[tuple[str, int]]
 
     @property
     def ok(self) -> bool:
-        return not self.input_problems and not self.rule_gaps
+        return not self.problems
+
+    @property
+    def exit_code(self) -> int:
+        return max((code for _, code in self.problems), default=0)
 
 
 def check_bundle(bundle: Bundle) -> CheckReport:
     """Cross-validate every component of a loaded bundle."""
     lines: list[str] = []
-    input_problems: list[str] = []
-    rule_gaps: list[str] = []
+    problems: list[tuple[str, int]] = []  # of the lexicon and the atlas
+    rule_gaps: list[tuple[str, int]] = []  # the other rule gaps, written after them
 
     scheme = bundle.field.scheme
     lines.append(
@@ -446,8 +452,7 @@ def check_bundle(bundle: Bundle) -> CheckReport:
     gaps = missing_rules(scheme, bundle.rule_table)
     if gaps:
         # without a derivable frame the atlas and lexicon cannot be checked
-        rule_gaps.extend(gaps)
-        return CheckReport(lines, input_problems, rule_gaps)
+        return CheckReport(lines, [(gap, RuleGapError.exit_code) for gap in gaps])
     lines.append("role rules: total for the scheme")
 
     enumeration = bundle.enumerate_forms()
@@ -462,25 +467,26 @@ def check_bundle(bundle: Bundle) -> CheckReport:
         try:
             form_for_entry(bundle, entry)
         except InputError as err:
-            input_problems.append(f"{name}: {err}")
+            problems.append((f"{name}: {err}", err.exit_code))
             continue
         except RuleGapError as err:
-            rule_gaps.append(f"{name}: {err}")
+            rule_gaps.append((f"{name}: {err}", err.exit_code))
             continue
         if entry.declared_um is None:
             continue
         _, outcome = atlas[entry.emphasis, entry.blocking]
         if isinstance(outcome, RuleGapError):  # its message, as name gives the pattern
-            input_problems.append(f"{name}: {outcome.args[0]}")
+            problems.append((f"{name}: {outcome.args[0]}", outcome.exit_code))
         elif outcome.um_type != entry.declared_um:
-            input_problems.append(
-                f"{name} declares {entry.declared_um} but classifies as {outcome.um_type}"
-            )
-    if not input_problems and not rule_gaps:
+            problems.append((
+                f"{name} declares {entry.declared_um} but classifies as {outcome.um_type}",
+                InputError.exit_code,
+            ))
+    if not problems and not rule_gaps:
         lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
-    overlaps = [str(o) for _, o in atlas.values() if isinstance(o, OverlappingRulesError)]
-    input_problems.extend(overlaps)
+    overlaps = [o for _, o in atlas.values() if isinstance(o, OverlappingRulesError)]
+    problems.extend((str(o), o.exit_code) for o in overlaps)
     if not overlaps:
         lines.append("process rules: disjoint over the atlas")
 
@@ -491,9 +497,9 @@ def check_bundle(bundle: Bundle) -> CheckReport:
                 inflect_np(np_spec_for(referent, case, bundle.np_lexicon), bundle.morph_table)
             except RuleGapError as err:
                 morph_gaps += 1
-                rule_gaps.append(str(err))
+                rule_gaps.append((str(err), err.exit_code))
     if not morph_gaps:
         lines.append("morphology: covers the NP lexicon in nominative/dative/accusative")
 
-    lines.append("upper model: {} types".format(len(bundle.upper_model.parents)))
-    return CheckReport(lines, input_problems, rule_gaps)
+    lines.append("upper model: {} types".format(len(bundle.upper_model)))
+    return CheckReport(lines, problems + rule_gaps)

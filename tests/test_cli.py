@@ -585,7 +585,7 @@ def test_check_reports_overlapping_process_rules(capsys, tmp_path):
         + "(process-rule action (unblocked agens))"
     )
     code, out, _ = run(capsys, "check", "--process", str(process))
-    assert code == 1
+    assert code == 2
     assert "process-type rules are not disjoint" in out
     assert "process rules: disjoint over the atlas" not in out
 
@@ -597,7 +597,7 @@ def test_check_names_each_faulty_entry_by_its_pattern(capsys, tmp_path):
         + "(role-map beneficiary agens)\n"
     )
     code, out, _ = run(capsys, "check", "--process", str(process))
-    assert code == 1
+    assert code == 2
     schicken = [l for l in out.splitlines() if l.startswith("problem: verb 'schicken'")]
     assert schicken == [
         "problem: verb 'schicken' (emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4): "
@@ -614,7 +614,7 @@ def test_check_writes_an_unclassified_pattern_as_it_names_the_entry(capsys, tmp_
         "(process-rule directed-action\n  (and (unblocked agens) (unblocked goal)))", ""
     ))
     code, out, _ = run(capsys, "check", "--process", str(process))
-    assert code == 1
+    assert code == 2
     pattern = "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
     assert (
         f"problem: verb 'schicken' {pattern}: no process-type rule matches the form"

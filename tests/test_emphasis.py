@@ -501,12 +501,12 @@ def test_form_invariants_over_atlas(bundle, atlas):
         for variable, _role in form.case_frame:
             r = realization.of(variable)
             if isinstance(r, DirectCase):
-                assert form.is_emphatic(variable) and form.is_verbalized(variable)
+                assert variable in form.emphatic_variables and variable not in form.blocking
             elif isinstance(r, Oblique):
-                assert not form.is_emphatic(variable)
-                assert form.is_verbalized(variable)
+                assert variable not in form.emphatic_variables
+                assert variable not in form.blocking
             else:
-                assert form.is_blocked(variable)
+                assert variable in form.blocking
         # every emphatic basic proposition keeps a direct-case argument
         for path in form.emphasis.emphatic:
             node = scheme.node_at(path)

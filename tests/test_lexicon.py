@@ -12,11 +12,7 @@ from emphase.errors import (
     UnclassifiedFormError,
 )
 from emphase.lexicon import (
-    AllOf,
-    AnyOf,
-    Negation,
     RoleMapRule,
-    RoleTest,
     evaluate_condition,
     match_verbs,
     parse_lexicon,
@@ -244,9 +240,10 @@ def test_lexicon_rejects_duplicate_patterns(bundle):
 
 
 def test_conditions_of_one_shape_differ_by_kind():
-    test = RoleTest("unblocked", "goal")
-    assert AllOf((test,)) != AnyOf((test,))
-    assert Negation(Negation(test)) != AllOf((test,))
-    assert AllOf((test,)) == AllOf((RoleTest("unblocked", "goal"),))
-    rules, _ = parse_process_rules("(process-rule t (and (unblocked goal)))")
-    assert rules != parse_process_rules("(process-rule t (or (unblocked goal)))")[0]
+    def condition(text):
+        (rule,), _ = parse_process_rules(f"(process-rule t {text})")
+        return rule.condition
+
+    assert condition("(and (unblocked goal))") != condition("(or (unblocked goal))")
+    assert condition("(not (not (unblocked goal)))") != condition("(and (unblocked goal))")
+    assert condition("(and (unblocked goal))") == condition("(and (unblocked goal))")
