@@ -91,8 +91,8 @@ FAULTY = {
     "two-types.um": (DATA / "upper-model.um").read_text(encoding="utf-8") + "(um-type entity)\n",
     "two-modify.rules": (DATA / "rules" / "change-of-possession.rules").read_text(
         encoding="utf-8") + "(modify bec pos (locat have) (goal have))\n",
-    "two-entries.np": (DATA / "lexicon" / "nps.lex").read_text(encoding="utf-8")
-        + "(pronoun he masc)\n",
+    "two-entries.np": (DATA / "lexicon" / "nps.lex").read_text(
+        encoding="utf-8") + "(pronoun he masc)\n",
     "no-dative-pronoun.morph": (DATA / "lexicon" / "morphology.lex").read_text(
         encoding="utf-8").replace("(pronoun-form masc dative ihm)\n", ""),
     "stranger.binding": """(binding (ref ?a he person) (ref ?a1 stranger person)

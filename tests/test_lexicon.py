@@ -246,4 +246,4 @@ def test_conditions_of_one_shape_differ_by_kind():
 
     assert condition("(and (unblocked goal))") != condition("(or (unblocked goal))")
     assert condition("(not (not (unblocked goal)))") != condition("(and (unblocked goal))")
-    assert condition("(and (unblocked goal))") == condition("(and (unblocked goal))")
+    assert condition("(and (unblocked goal))") == ("and", ("unblocked", "goal"))
