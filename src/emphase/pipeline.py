@@ -90,13 +90,15 @@ Pattern = tuple[EmphasisAssignment, BlockingSet]
 
 
 class Frame(NamedTuple):
-    """A lexicon entry, the form it lexicalizes, its recipient variable, and the
-    emphasis-q it realizes: EMPHATIC by dative, NONEMPHATIC by oblique, else None."""
+    """A lexicon entry, the form it lexicalizes, its recipient variable, the
+    emphasis-q it realizes (EMPHATIC by dative, NONEMPHATIC by oblique, else
+    None), and the form's ``Bundle.selection_key``."""
 
     entry: VerbEntry
     form: SemanticForm
     recipient: str | None
     emphasis_q: EmphasisQ | None
+    key: tuple
 
 
 class DataFile(NamedTuple):
@@ -289,12 +291,17 @@ class Bundle:
         blocking that its selection can read."""
         return frozenset({role.label: v for v, role in reversed(self.case_frame.items())}.values())
 
-    def selection(self, form: SemanticForm) -> ProcessSelection:
-        """Process type and participants of ``form``, classified once per key:
-        its emphasis and its blocked ``_selection_variables``.  Forms with one
-        key share the selection; a rule gap is raised anew for each form, and
-        names that form's pattern if it names one."""
-        key = (form.emphasis, form.blocking.blocked & self._selection_variables)
+    def selection_key(self, form: SemanticForm) -> tuple:
+        """What ``selection`` classifies ``form`` by: its emphasis and its
+        blocked ``_selection_variables``."""
+        return form.emphasis, form.blocking.blocked & self._selection_variables
+
+    def selection(self, form: SemanticForm, key: tuple | None = None) -> ProcessSelection:
+        """Process type and participants of ``form``, classified once per key,
+        ``selection_key(form)`` unless a caller that keeps it passes it.  Forms
+        with one key share the selection; a rule gap is raised anew for each
+        form, and names that form's pattern if it names one."""
+        key = key or self.selection_key(form)
         outcome = self._selections.get(key)
         if outcome is None:
             try:
@@ -341,10 +348,11 @@ def frame_for_entry(bundle: Bundle, entry: VerbEntry) -> Frame:
         (v for role, v in participants(form, bundle.role_maps) if role == RECIPIENT_ROLE), None
     )
     realization = None if recipient is None else form.realization.of(recipient)
+    key = bundle.selection_key(form)
     if realization == DirectCase(Case.DATIVE):
-        return Frame(entry, form, recipient, EmphasisQ.EMPHATIC)
+        return Frame(entry, form, recipient, EmphasisQ.EMPHATIC, key)
     emphasis_q = EmphasisQ.NONEMPHATIC if isinstance(realization, Oblique) else None
-    return Frame(entry, form, recipient, emphasis_q)
+    return Frame(entry, form, recipient, emphasis_q, key)
 
 
 class GenerationResult(NamedTuple):
@@ -389,7 +397,7 @@ def generate(
         if recipient_referents:
             (referent,) = recipient_referents
             effective_q = decide_emphasis_q(status_of(script_state, referent))
-    if effective_q is EmphasisQ.EMPHATIC and focus_role == RECIPIENT_ROLE:
+    if focus_role == RECIPIENT_ROLE and effective_q is EmphasisQ.EMPHATIC:
         raise FocusConflictError(
             "an emphatic participant cannot take the focus position, "
             "which is reserved for new, non-thematic information"
@@ -402,15 +410,17 @@ def generate(
             f"verb {lemma!r} has several frames; decide with --emphasis-q or a discourse script"
         )
     else:
-        chosen = next((f for f in candidates if f.emphasis_q is effective_q), None)
-        if chosen is None:
+        for chosen in candidates:
+            if chosen.emphasis_q is effective_q:
+                break
+        else:
             raise InputError(
                 f"no frame of {lemma!r} realizes the recipient "
                 f"{'with dative case' if effective_q is EmphasisQ.EMPHATIC else 'obliquely'}"
             )
     entry, form = chosen.entry, chosen.form
 
-    selection = bundle.selection(form)
+    selection = bundle.selection(form, chosen.key)
     plan = build_spl(form, selection, entry, binding, effective_q)
     sentence = realize(
         form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
@@ -497,7 +507,7 @@ def check_bundle(bundle: Bundle) -> CheckReport:
                 inflect_np(np_spec_for(referent, case, bundle.np_lexicon), bundle.morph_table)
             except RuleGapError as err:
                 morph_gaps += 1
-                rule_gaps.append((str(err), err.exit_code))
+                rule_gaps.append((f"referent {referent}: {err}", err.exit_code))
     if not morph_gaps:
         lines.append("morphology: covers the NP lexicon in nominative/dative/accusative")
 

@@ -66,6 +66,11 @@ class PronounEntry(NamedTuple):
 
 NPLexicon = dict[str, "NounEntry | PronounEntry"]
 
+# Read on every noun phrase, so bound once: on Python 3.11 an Enum class looks
+# up each attribute through ``EnumType.__getattr__``, a Python-level hook.
+_NOMINATIVE, _DATIVE, _ACCUSATIVE = Case.NOMINATIVE, Case.DATIVE, Case.ACCUSATIVE
+_PRONOUN, _EMPHATIC = Definiteness.PRONOUN, EmphasisQ.EMPHATIC
+
 
 class MorphTable(NamedTuple):
     articles: dict[tuple[Definiteness, Gender, Case], str]
@@ -74,7 +79,7 @@ class MorphTable(NamedTuple):
 
 def inflect_np(spec: NPSpec, table: MorphTable) -> str:
     """Inflected NP text, e.g. ``den Schlüssel`` or ``ihm``."""
-    if spec.definiteness is Definiteness.PRONOUN:
+    if spec.definiteness is _PRONOUN:
         form = table.pronouns.get((spec.gender, spec.case))
         if form is None:
             raise MissingMorphologyError(
@@ -95,7 +100,7 @@ def np_spec_for(referent_name: str, case: Case, np_lexicon: NPLexicon) -> NPSpec
     if entry is None:
         raise MissingMorphologyError(f"no NP entry for referent {referent_name}")
     if isinstance(entry, PronounEntry):
-        return NPSpec(referent_name, case, entry.gender, Definiteness.PRONOUN)
+        return NPSpec(referent_name, case, entry.gender, _PRONOUN)
     return NPSpec(entry.lemma, case, entry.gender, entry.definiteness)
 
 
@@ -131,27 +136,24 @@ def realize(
     if genitives:
         raise InputError("genitive participants are outside the template")
 
-    middle: list[tuple[str, str]] = []  # (variable, text)
-    for v in datives:
-        middle.append((v, np_text(v, Case.DATIVE)))
+    middle = [np_text(v, _DATIVE) for v in datives]
     for v in accusatives:
-        middle.append((v, np_text(v, Case.ACCUSATIVE)))
+        middle.append(np_text(v, _ACCUSATIVE))
     for v, oblique in obliques:
-        middle.append((v, f"{oblique.preposition} {np_text(v, oblique.governed)}"))
+        middle.append(f"{oblique.preposition} {np_text(v, oblique.governed)}")
 
-    if emphasis_q is EmphasisQ.EMPHATIC:
+    if emphasis_q is _EMPHATIC:
         if not datives:
             raise OrderingConflictError(
                 "emphatic recipient status requires a dative participant"
             )
-        if middle and middle[-1][0] == datives[0]:
+        if len(middle) == 1:  # the one dative ends the middle field
             raise OrderingConflictError(
                 "the emphatic (dative) participant would end up in "
                 "clause-final focus position"
             )
 
-    words = [np_text(subjects[0], Case.NOMINATIVE), verb.present_3sg]
-    words.extend(text for _, text in middle)
+    words = [np_text(subjects[0], _NOMINATIVE), verb.present_3sg, *middle]
     if verb.prefix:
         words.append(verb.prefix)
     sentence = " ".join(words)

@@ -197,19 +197,20 @@ class Referent(NamedTuple):
     sort: str
 
 
-class Binding(NamedTuple):
-    """Variable-to-referent assignment, in file order."""
-
+class _BindingFields(NamedTuple):
     entries: tuple[tuple[str, Referent], ...]
 
-    def referent(self, variable: str) -> Referent | None:
-        for v, r in self.entries:
-            if v == variable:
-                return r
-        return None
 
-    def as_dict(self) -> dict[str, Referent]:
-        return dict(self.entries)
+class Binding(_BindingFields):
+    """Variable-to-referent assignment, in file order.  A variable's referent
+    is its first entry's, looked up in an index built on first use."""
+
+    @cached_property
+    def _index(self) -> dict[str, Referent]:
+        return {v: r for v, r in reversed(self.entries)}
+
+    def referent(self, variable: str) -> Referent | None:
+        return self._index.get(variable)
 
 
 class Violation(NamedTuple):
@@ -368,7 +369,7 @@ def parse_binding(text: str) -> Binding:
 
 def complete_binding(fd: FieldDefinition, binding: Binding) -> Binding:
     """Propagate plain equality constraints into unbound variables."""
-    bound = binding.as_dict()
+    bound = dict(binding.entries)
     changed = True
     while changed:
         changed = False
@@ -389,7 +390,7 @@ def complete_binding(fd: FieldDefinition, binding: Binding) -> Binding:
 
 def validate_binding(fd: FieldDefinition, binding: Binding) -> list[Violation]:
     """All failed checks; empty means the binding satisfies the field."""
-    completed = complete_binding(fd, binding).as_dict()
+    completed = dict(complete_binding(fd, binding).entries)
     violations: list[Violation] = []
 
     for v, _ in binding.entries:

@@ -25,19 +25,15 @@ RECIPIENT_ROLE = "recipient"
 class _SplFields(NamedTuple):
     head: str
     um_type: str
-    slots: tuple[tuple[str, "SplTerm | str"], ...]
+    slots: tuple[tuple[str, "SplTerm | str"], ...] = ()
 
 
 class SplTerm(_SplFields):
-    """Typed plan term with ordered keyword slots."""
+    """Typed plan term with ordered keyword slots.  A term is built unchecked;
+    its keywords are checked where text is read (``parse_spl``) or written
+    (``serialize_spl``)."""
 
     __slots__ = ()
-
-    def __new__(cls, head: str, um_type: str, slots: tuple = ()):
-        for keyword, _ in slots:
-            if not keyword.startswith(":"):
-                raise ValueError(f"slot keyword must start with ':': {keyword!r}")
-        return super().__new__(cls, head, um_type, slots)
 
     def slot(self, keyword: str) -> "SplTerm | str | None":
         for kw, filler in self.slots:
@@ -63,6 +59,7 @@ def build_spl(
         raise UnverbalizedRoleError(
             "emphasis-q requested but the form verbalizes no recipient"
         )
+    annotation = () if emphasis_q is None else ((":emphasis-q", emphasis_q.value),)
     slots: list[tuple[str, SplTerm | str]] = []
     for um_role, variable in selection.participants:
         referent = binding.referent(variable)
@@ -70,12 +67,8 @@ def build_spl(
             raise UnverbalizedRoleError(
                 f"binding has no referent for participant variable {variable}"
             )
-        annotations: tuple[tuple[str, SplTerm | str], ...] = ()
-        if emphasis_q is not None and um_role == RECIPIENT_ROLE:
-            annotations = ((":emphasis-q", emphasis_q.value),)
-        slots.append(
-            (":" + um_role, SplTerm(referent.name, referent.sort, annotations))
-        )
+        annotations = annotation if um_role == RECIPIENT_ROLE else ()
+        slots.append((":" + um_role, SplTerm(referent.name, referent.sort, annotations)))
     return SplTerm(verb.event, selection.um_type, tuple(slots))
 
 
@@ -85,14 +78,18 @@ def serialize_spl(term: SplTerm) -> str:
     bare symbol's verdict is kept in ``sexpr``'s cache, so a repeat costs
     one hit; any other atom, or an unwritable symbol, goes through
     ``sexpr.write``, which quotes a ``QuotedString`` and raises
-    ``ValueError`` for what it cannot write."""
+    ``ValueError`` for what it cannot write.  A slot keyword that is not a
+    bare ``:keyword`` raises ``ValueError``, as ``parse_spl`` would refuse it."""
     return _write(term)  # recursing below the public name: one traced call per plan
 
 
 def _write(term: SplTerm) -> str:
     words = [_atom(term.head), "/", _atom(term.um_type)]
     for keyword, filler in term.slots:
-        words.append(_atom(keyword))
+        word = _atom(keyword)
+        if word[0] != ":":  # what parse_spl reads as a keyword: a bare symbol with ':'
+            raise ValueError(f"slot keyword must start with ':': {keyword!r}")
+        words.append(word)
         words.append(_write(filler) if isinstance(filler, SplTerm) else _atom(filler))
     return "(" + " ".join(words) + ")"
 

@@ -163,7 +163,8 @@ def test_record_fields_are_annotated_with_evaluated_types():
 
 def test_the_oldest_supported_python_reads_the_data_and_generates():
     """``requires-python`` names 3.10: under it the reader takes every
-    shipped data file and ``generate`` writes the golden sentence."""
+    shipped data file and ``generate`` writes the golden sentence, from an
+    explicit emphasis-q and from a discourse script."""
     python = shutil.which("python3.10")
     if python is None:
         pytest.skip("no python3.10 on PATH")
@@ -179,14 +180,19 @@ def test_the_oldest_supported_python_reads_the_data_and_generates():
                           capture_output=True, text=True, timeout=60)
     files = sum(1 for p in data.rglob("*") if p.is_file())
     assert (read.returncode, read.stdout) == (0, f"(3, 10) {files}\n"), read.stderr
-    generate = subprocess.run(
-        [python, "-m", "emphase.cli", "generate", "--verb", "schicken",
-         "--bindings", str(data / "bindings" / "he-him-invitation.binding"),
-         "--emphasis-q", "emphatic"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert generate.returncode == 0, generate.stderr
-    assert generate.stdout.splitlines()[-1] == "Er schickt ihm eine Einladung."
+    for decision in (["--emphasis-q", "emphatic"],
+                     ["--script", str(data / "discourse" / "biography.script")]):
+        generate = subprocess.run(
+            [python, "-m", "emphase.cli", "generate", "--verb", "schicken",
+             "--bindings", str(data / "bindings" / "he-him-invitation.binding"), *decision],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert generate.returncode == 0, generate.stderr
+        assert generate.stdout.splitlines() == [
+            "(send / directed-action :actor (he / person) :recipient "
+            "(him / person :emphasis-q emphatic) :actee (invitation / object))",
+            "Er schickt ihm eine Einladung.",
+        ]
 
 
 def test_every_imported_name_is_used():

@@ -12,7 +12,7 @@ import pytest
 from emphase import lexicon, pipeline, sexpr
 from emphase.cli import cmd_forms
 from emphase.discourse import EmphasisQ, parse_script, run_script
-from emphase.emphasis import Case, DirectCase, Oblique
+from emphase.emphasis import Case, DirectCase, Oblique, pattern_text
 from emphase.errors import (
     EmphaseError,
     FocusConflictError,
@@ -73,6 +73,54 @@ def test_each_frame_keeps_the_emphasis_q_it_realizes(bundle):
         "verlieren": (None, None),
         "wegwerfen": (None, None),
     }
+
+
+def _frame_keys_hold(bundle) -> bool:
+    """Each frame of each lemma keeps the key Bundle.selection builds for its
+    form: its emphasis and its blocked variables among the first variable of
+    each role label, the key its selection is looked up by.  True if some
+    frame blocks a variable the key leaves out."""
+    first_of_label = {}
+    for variable, role in bundle.case_frame.items():
+        first_of_label.setdefault(role.label, variable)
+    readable = frozenset(first_of_label.values())
+    left_out = False
+    for lemma in sorted({entry.lemma for entry in bundle.verbs}):
+        for frame in bundle.frames(lemma):
+            form = frame.form
+            assert frame.key == (form.emphasis, form.blocking.blocked & readable)
+            assert bundle.selection(form, frame.key) is bundle.selection(form)
+            left_out |= not form.blocking.blocked <= readable
+    return left_out
+
+
+def test_each_frame_keeps_the_key_its_selection_is_looked_up_by(bundle, tmp_path):
+    assert {entry.lemma for entry in bundle.verbs} == {"schicken", "verlieren", "wegwerfen"}
+    _frame_keys_hold(bundle)
+    # a bench field repeats role labels, so a key can leave blocked variables
+    # out; one entry per atlas form the shipped rules classify
+    config = fields.config_for(fields.write_field(tmp_path, 4, 1))
+    atlas = load_bundle(config).atlas
+    config.lexicon_path = tmp_path / "atlas.lex"
+    config.lexicon_path.write_text("".join(
+        f'(verb "v{i}" (field {form.field_name}) {pattern_text(*pattern)} '
+        f'(event e{i}) (present-3sg "v{i}t"))\n'
+        for i, (pattern, (form, outcome)) in enumerate(atlas.items())
+        if not isinstance(outcome, RuleGapError)
+    ), encoding="utf-8")
+    assert _frame_keys_hold(load_bundle(config))
+
+
+def test_generate_builds_each_result_afresh(bundle, binding_send, binding_key):
+    """Equal requests give equal results, each built anew: no result is kept."""
+    for lemma, binding, options in [
+        ("schicken", binding_send, {"emphasis_q": EmphasisQ.EMPHATIC}),
+        ("verlieren", binding_key, {}),
+    ]:
+        first = generate(bundle, lemma, binding, **options)
+        second = generate(bundle, lemma, binding, **options)
+        assert first == second
+        assert first is not second and first.plan is not second.plan
 
 
 def test_generate_picks_frame_by_emphasis(bundle, binding_send):

@@ -336,3 +336,41 @@ def test_validation_monotone_in_constraints(seed):
     fewer = {str(v) for v in validate_binding(smaller, binding)}
     more = {str(v) for v in validate_binding(fd, binding)}
     assert fewer <= more
+
+
+def _first_match(binding: Binding, variable: str) -> Referent | None:
+    for v, r in binding.entries:
+        if v == variable:
+            return r
+    return None
+
+
+_NAMES = ("a", "a1", "a2", "x")  # few, so that some repeat
+_REFERENTS = st.builds(
+    Referent, st.sampled_from(["he", "him", "key"]), st.sampled_from(["person", "object"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NAMES), _REFERENTS), max_size=6), st.text(max_size=3))
+def test_referent_is_the_first_entry_of_its_variable(entries, unknown):
+    """Built directly, a binding may bind a variable twice; the indexed lookup
+    returns the very referent a first-match scan does, and None for a
+    variable no entry binds."""
+    binding = Binding(tuple(entries))
+    for variable in (*_NAMES, unknown, ""):
+        assert binding.referent(variable) is _first_match(binding, variable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_referent_of_a_completed_binding_is_its_first_entry(seed):
+    rng = random.Random(seed)
+    fd = random_field(rng)
+    variables = fd.scheme.variables
+    bound = rng.sample(variables, rng.randint(0, len(variables)))
+    completed = complete_binding(
+        fd, Binding(tuple((v, Referent(rng.choice(["x1", "x2"]), "thing")) for v in bound))
+    )
+    for variable in (*variables, "unbound"):
+        assert completed.referent(variable) is _first_match(completed, variable)

@@ -114,9 +114,14 @@ def test_slotless_term_serialization():
     assert serialize_spl(SplTerm("e", "action")) == "(e / action)"
 
 
-def test_keywords_must_begin_with_colon():
-    with pytest.raises(ValueError):
-        SplTerm("e", "action", (("actor", "x"),))
+@pytest.mark.parametrize("term", [
+    SplTerm("e", "action", (("actor", "x"),)),
+    SplTerm("e", "action", ((":k", SplTerm("x", "o", (("actor", "y"),))),)),
+])
+def test_serialize_refuses_a_keyword_without_its_colon(term):
+    """A term is built unchecked; its keywords are checked where it is written."""
+    with pytest.raises(ValueError, match="slot keyword must start with ':'"):
+        serialize_spl(term)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -167,6 +172,36 @@ def test_serialize_writes_the_plan_as_a_list_and_parse_inverts_it(term):
     assert text == sexpr.write(plan_list(term))
     assert serialize_spl(term) == text
     assert parse_spl(text) == term
+
+
+def _keywords(term: SplTerm) -> list[str]:
+    return [word for keyword, filler in term.slots
+            for word in [keyword, *(_keywords(filler) if isinstance(filler, SplTerm) else ())]]
+
+
+# keywords with a colon put before them or not, so that some lack it
+_UNCHECKED_TERMS = st.recursive(
+    st.tuples(_SYMBOLS, _SYMBOLS).map(lambda parts: SplTerm(*parts)),
+    lambda inner: st.tuples(
+        _SYMBOLS,
+        _SYMBOLS,
+        st.lists(st.tuples(_SYMBOLS | _SYMBOLS.map(lambda w: ":" + w), inner | _SYMBOLS),
+                 max_size=4).map(tuple),
+    ).map(lambda parts: SplTerm(*parts)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNCHECKED_TERMS)
+def test_serialize_writes_only_what_parse_reads(term):
+    """A nested plan term round-trips when every keyword has its colon;
+    otherwise writing it raises, so no text parse_spl refuses is written."""
+    if all(keyword.startswith(":") for keyword in _keywords(term)):
+        assert parse_spl(serialize_spl(term)) == term
+    else:
+        with pytest.raises(ValueError, match="slot keyword must start with ':'"):
+            serialize_spl(term)
 
 
 @pytest.mark.parametrize("word", ["a b", "x(", 'q"', "\u00a0", "12", "-3", ""])
