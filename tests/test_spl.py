@@ -117,7 +117,7 @@ def test_slotless_term_serialization():
 @pytest.mark.parametrize("term", [
     SplTerm("e", "action", (("actor", "x"),)),
     SplTerm("e", "action", ((":k", SplTerm("x", "o", (("actor", "y"),))),)),
-])
+], ids=["top", "nested"])
 def test_serialize_refuses_a_keyword_without_its_colon(term):
     """A term is built unchecked; its keywords are checked where it is written."""
     with pytest.raises(ValueError, match="slot keyword must start with ':'"):
