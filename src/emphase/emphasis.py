@@ -25,8 +25,9 @@ over every pair of a field: blockings as bit masks (``Scheme.mask_of``),
 one ``check_blocking`` call per pair, case assignment only on the
 supersets of the must-block mask, and the same form constructor.
 Only the blocked emphatic variables decide a blocking check, so
-``emphasis_table`` holds the verdict for each of their 2^|E| subsets
-and a check is one lookup.
+``emphasis_table`` gives an emphasis's table as the plain pair ``(mask,
+verdicts)``: the mask of its emphatic variables E, and the verdict for
+each of their 2^|E| subsets; a check is one lookup.
 """
 
 import itertools
@@ -136,6 +137,11 @@ class Realization(NamedTuple):
         )
 
 
+def _first_of_each_label(frame_items: tuple[tuple[str, Role], ...]) -> dict[str, str]:
+    """The first variable of each role label, in case-frame order."""
+    return {role.label: v for v, role in reversed(frame_items)}
+
+
 class _FormFields(NamedTuple):
     field_name: str
     emphasis: EmphasisAssignment
@@ -143,15 +149,18 @@ class _FormFields(NamedTuple):
     realization: Realization
     case_frame: tuple[tuple[str, Role], ...]
     emphatic_variables: frozenset[str]
+    selection_key: tuple[EmphasisAssignment, frozenset[str]]
 
 
 class SemanticForm(_FormFields):
-    """One derivable realization pattern of a lexical field."""
+    """One derivable realization pattern of a lexical field.  Its
+    ``selection_key`` is what process selection classifies it by: its
+    emphasis and its blocked variables among the first variable of each
+    role label, all of its blocking that ``variable_with_label`` reads."""
 
     @cached_property
     def _by_label(self) -> dict[str, str]:
-        """The first variable of each role label, in case-frame order."""
-        return {role.label: v for v, role in reversed(self.case_frame)}
+        return _first_of_each_label(self.case_frame)
 
     @cached_property
     def case_layout(self) -> tuple[tuple, ...]:
@@ -243,18 +252,9 @@ def check_emphasis(field: FieldDefinition, assignment: EmphasisAssignment) -> li
     return problems
 
 
-class BlockingTable(NamedTuple):
-    """The blocking verdicts of one emphasis: ``entries``, (path, variable mask)
-    of each emphatic basic proposition in path order; ``mask``, the union of
-    theirs; ``verdicts``, the offending paths for each subset of ``mask``.
-    Hashed by ``entries``, which decide the other two."""
-
-    entries: tuple[tuple[NodePath, int], ...]
-    mask: int
-    verdicts: dict[int, list[NodePath]]
-
-    def __hash__(self):
-        return hash(self.entries)
+# (mask, verdicts): the mask of an emphasis's emphatic variables, and for
+# each subset of it the emphatic basic propositions it blocks out, in path order
+BlockingTable = tuple[int, dict[int, list[NodePath]]]
 
 
 def emphasis_table(
@@ -271,7 +271,7 @@ def emphasis_table(
     for _ in range(1 << mask.bit_count()):
         subset = (subset - mask) & mask  # each subset of mask, 0 first
         verdicts[subset] = [path for path, names in entries if subset & names == names]
-    return BlockingTable(entries, mask, verdicts), emphatic
+    return (mask, verdicts), emphatic
 
 
 def check_blocking(table: BlockingTable, blocked: int) -> list[NodePath]:
@@ -279,7 +279,8 @@ def check_blocking(table: BlockingTable, blocked: int) -> list[NodePath]:
     all blocks, in path order; empty means the blocking is admissible.  Only
     the blocked emphatic variables decide it, so it is one lookup; the list
     is the table's own."""
-    return table.verdicts[blocked & table.mask]
+    mask, verdicts = table
+    return verdicts[blocked & mask]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,7 @@ def direct_cases(
 def _form(
     field_name: str,
     frame_items: tuple[tuple[str, Role], ...],
+    selection_variables: frozenset[str],
     oblique_table: ObliqueTable,
     emphasis: EmphasisAssignment,
     emphatic: frozenset[str],
@@ -363,7 +365,7 @@ def _form(
                 )
             entries.append((v, Oblique(*oblique)))
     return SemanticForm(field_name, emphasis, BlockingSet(blocked), Realization(tuple(entries)),
-                        frame_items, emphatic)
+                        frame_items, emphatic, (emphasis, blocked & selection_variables))
 
 
 def semantic_form(
@@ -384,8 +386,9 @@ def semantic_form(
     if offending:
         raise BlockedOutError(offending)
     assigned = direct_cases(case_frame, emphatic - blocked, priority)
-    return _form(field.name, tuple(case_frame.items()), oblique_table, emphasis, emphatic,
-                 blocked, assigned)
+    frame_items = tuple(case_frame.items())
+    return _form(field.name, frame_items, frozenset(_first_of_each_label(frame_items).values()),
+                 oblique_table, emphasis, emphatic, blocked, assigned)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +422,7 @@ def enumerate_semantic_forms(
     forms: list[SemanticForm] = []
     rejected_blocking = 0
     frame_items = tuple(case_frame.items())
+    selection_variables = frozenset(_first_of_each_label(frame_items).values())
     frame_mask = scheme.mask_of(case_frame)
     no_oblique = scheme.mask_of({v for v, r in frame_items if r not in oblique_table.entries})
     masks = range(1 << len(scheme.variables))
@@ -431,7 +435,7 @@ def enumerate_semantic_forms(
             if check_blocking(table, mask):
                 rejected[mask] = 1
         rejected_blocking += rejected.count(1)
-        emphatic_mask = table.mask
+        emphatic_mask, _ = table
         must_block = no_oblique & ~emphatic_mask
         free = subset = masks[-1] & ~must_block
         for _ in range(1 << free.bit_count()):
@@ -450,8 +454,8 @@ def enumerate_semantic_forms(
             assigned = outcomes[unblocked]
             if assigned is None:
                 continue
-            forms.append(_form(field.name, frame_items, oblique_table, emphasis, emphatic,
-                               scheme.names_of(blocked), assigned))
+            forms.append(_form(field.name, frame_items, selection_variables, oblique_table,
+                               emphasis, emphatic, scheme.names_of(blocked), assigned))
     rejected_assignment = len(emphases) * len(masks) - rejected_blocking - len(forms)
     return FormEnumeration(forms, rejected_blocking, rejected_assignment)
 

@@ -90,15 +90,14 @@ Pattern = tuple[EmphasisAssignment, BlockingSet]
 
 
 class Frame(NamedTuple):
-    """A lexicon entry, the form it lexicalizes, its recipient variable, the
-    emphasis-q it realizes (EMPHATIC by dative, NONEMPHATIC by oblique, else
-    None), and the form's ``Bundle.selection_key``."""
+    """A lexicon entry, the form it lexicalizes, its recipient variable, and
+    the emphasis-q it realizes (EMPHATIC by dative, NONEMPHATIC by oblique,
+    else None)."""
 
     entry: VerbEntry
     form: SemanticForm
     recipient: str | None
     emphasis_q: EmphasisQ | None
-    key: tuple
 
 
 class DataFile(NamedTuple):
@@ -284,24 +283,12 @@ class Bundle:
             self._frames[lemma] = frames
         return frames
 
-    @cached_property
-    def _selection_variables(self) -> frozenset[str]:
-        """The first variable of each label of the case frame: the variables
-        ``SemanticForm.variable_with_label`` returns, so all of a form's
-        blocking that its selection can read."""
-        return frozenset({role.label: v for v, role in reversed(self.case_frame.items())}.values())
-
-    def selection_key(self, form: SemanticForm) -> tuple:
-        """What ``selection`` classifies ``form`` by: its emphasis and its
-        blocked ``_selection_variables``."""
-        return form.emphasis, form.blocking.blocked & self._selection_variables
-
-    def selection(self, form: SemanticForm, key: tuple | None = None) -> ProcessSelection:
-        """Process type and participants of ``form``, classified once per key,
-        ``selection_key(form)`` unless a caller that keeps it passes it.  Forms
-        with one key share the selection; a rule gap is raised anew for each
-        form, and names that form's pattern if it names one."""
-        key = key or self.selection_key(form)
+    def selection(self, form: SemanticForm) -> ProcessSelection:
+        """Process type and participants of ``form``, classified once per
+        ``form.selection_key``.  Forms with one key share the selection; a
+        rule gap is raised anew for each form, and names that form's pattern
+        if it names one."""
+        key = form.selection_key
         outcome = self._selections.get(key)
         if outcome is None:
             try:
@@ -348,11 +335,10 @@ def frame_for_entry(bundle: Bundle, entry: VerbEntry) -> Frame:
         (v for role, v in participants(form, bundle.role_maps) if role == RECIPIENT_ROLE), None
     )
     realization = None if recipient is None else form.realization.of(recipient)
-    key = bundle.selection_key(form)
     if realization == DirectCase(Case.DATIVE):
-        return Frame(entry, form, recipient, EmphasisQ.EMPHATIC, key)
+        return Frame(entry, form, recipient, EmphasisQ.EMPHATIC)
     emphasis_q = EmphasisQ.NONEMPHATIC if isinstance(realization, Oblique) else None
-    return Frame(entry, form, recipient, emphasis_q, key)
+    return Frame(entry, form, recipient, emphasis_q)
 
 
 class GenerationResult(NamedTuple):
@@ -420,8 +406,8 @@ def generate(
             )
     entry, form = chosen.entry, chosen.form
 
-    selection = bundle.selection(form, chosen.key)
-    plan = build_spl(form, selection, entry, binding, effective_q)
+    selection = bundle.selection(form)
+    plan = build_spl(selection, entry, binding, effective_q)
     sentence = realize(
         form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
     )

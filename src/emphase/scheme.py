@@ -368,8 +368,9 @@ def parse_binding(text: str) -> Binding:
 
 
 def complete_binding(fd: FieldDefinition, binding: Binding) -> Binding:
-    """Propagate plain equality constraints into unbound variables."""
-    bound = dict(binding.entries)
+    """Propagate plain equality constraints into unbound variables; a
+    variable bound twice keeps its ``Binding.referent``, the first."""
+    bound = {v: binding.referent(v) for v, _ in binding.entries}
     changed = True
     while changed:
         changed = False

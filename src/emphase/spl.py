@@ -43,13 +43,12 @@ class SplTerm(_SplFields):
 
 
 def build_spl(
-    form,
     selection: ProcessSelection,
     verb: VerbEntry,
     binding: Binding,
     emphasis_q: EmphasisQ | None = None,
 ) -> SplTerm:
-    """Plan term for one classified form under a validated binding.
+    """Plan term for one process selection under a validated binding.
 
     The head is the verb's event symbol; each participant is filled
     with ``(referent / sort)``; an emphasis-q annotation, when given,
@@ -74,12 +73,11 @@ def build_spl(
 
 def serialize_spl(term: SplTerm) -> str:
     """Canonical one-line text of the plan term, the text ``sexpr.write``
-    gives the term as a list.  It is written straight from the term: each
-    bare symbol's verdict is kept in ``sexpr``'s cache, so a repeat costs
-    one hit; any other atom, or an unwritable symbol, goes through
-    ``sexpr.write``, which quotes a ``QuotedString`` and raises
-    ``ValueError`` for what it cannot write.  A slot keyword that is not a
-    bare ``:keyword`` raises ``ValueError``, as ``parse_spl`` would refuse it."""
+    gives the term as a list, and only text ``parse_spl`` reads back: an
+    atom that is not a bare symbol (a ``QuotedString``, an integer, a word
+    that would not read back as itself), or a slot keyword without its
+    ``:``, raises ``ValueError``.  Each bare symbol's verdict is kept in
+    ``sexpr``'s cache, so a repeat costs one hit."""
     return _write(term)  # recursing below the public name: one traced call per plan
 
 
@@ -95,7 +93,9 @@ def _write(term: SplTerm) -> str:
 
 
 def _atom(value) -> str:
-    return value if type(value) is str and sexpr._symbol_ok(value) else sexpr.write(value)
+    if type(value) is str and sexpr._symbol_ok(value):
+        return value
+    raise ValueError(f"not writable as a bare symbol: {value!r}")
 
 
 def _term_from_sexpr(value) -> SplTerm:

@@ -67,6 +67,15 @@ def test_the_pipeline_reads_no_process_condition():
     assert "evaluate_condition" not in imported
 
 
+def test_the_pipeline_reads_no_role_label():
+    """A form holds its selection key, so the pipeline reads no role label:
+    which variables a selection can read is decided in ``emphasis``."""
+    path = Path(emphase.__file__).resolve().parent / "pipeline.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "label"]
+
+
 def _stage_setters(node: ast.AST, scope: str):
     """The qualified name of the function or class around each assignment
     to an attribute named ``stage``, or ``setattr`` of one, under ``node``."""

@@ -75,28 +75,34 @@ def test_each_frame_keeps_the_emphasis_q_it_realizes(bundle):
     }
 
 
-def _frame_keys_hold(bundle) -> bool:
-    """Each frame of each lemma keeps the key Bundle.selection builds for its
-    form: its emphasis and its blocked variables among the first variable of
-    each role label, the key its selection is looked up by.  True if some
-    frame blocks a variable the key leaves out."""
+def _form_keys_hold(bundle) -> bool:
+    """Each atlas form and each frame's form holds the key its selection is
+    looked up by: its emphasis and its blocked variables among the first
+    variable of each role label; a frame's form shares the selection of its
+    atlas form.  True if some frame blocks a variable the key leaves out."""
     first_of_label = {}
     for variable, role in bundle.case_frame.items():
         first_of_label.setdefault(role.label, variable)
     readable = frozenset(first_of_label.values())
+
+    def key(form):
+        return form.emphasis, form.blocking.blocked & readable
+
+    atlas = bundle.atlas
+    assert all(form.selection_key == key(form) for form, _ in atlas.values())
     left_out = False
     for lemma in sorted({entry.lemma for entry in bundle.verbs}):
         for frame in bundle.frames(lemma):
             form = frame.form
-            assert frame.key == (form.emphasis, form.blocking.blocked & readable)
-            assert bundle.selection(form, frame.key) is bundle.selection(form)
+            assert form.selection_key == key(form)
+            assert bundle.selection(form) is atlas[form.emphasis, form.blocking][1]
             left_out |= not form.blocking.blocked <= readable
     return left_out
 
 
 def test_each_frame_keeps_the_key_its_selection_is_looked_up_by(bundle, tmp_path):
     assert {entry.lemma for entry in bundle.verbs} == {"schicken", "verlieren", "wegwerfen"}
-    _frame_keys_hold(bundle)
+    _form_keys_hold(bundle)
     # a bench field repeats role labels, so a key can leave blocked variables
     # out; one entry per atlas form the shipped rules classify
     config = fields.config_for(fields.write_field(tmp_path, 4, 1))
@@ -108,7 +114,7 @@ def test_each_frame_keeps_the_key_its_selection_is_looked_up_by(bundle, tmp_path
         for i, (pattern, (form, outcome)) in enumerate(atlas.items())
         if not isinstance(outcome, RuleGapError)
     ), encoding="utf-8")
-    assert _frame_keys_hold(load_bundle(config))
+    assert _form_keys_hold(load_bundle(config))
 
 
 def test_generate_builds_each_result_afresh(bundle, binding_send, binding_key):

@@ -299,6 +299,17 @@ def test_equality_propagation_completes_binding(field):
     assert validate_binding(field, binding) == []
 
 
+def test_completion_reads_a_variable_bound_twice_by_its_first_entry():
+    """Built directly, a binding may bind a variable twice; completion takes
+    the referent ``Binding.referent`` returns, the first entry's."""
+    fd = parse_field("(field f (scheme (have ?a ?b)) (emphasis-start ()) (coref (= ?a ?b)))")
+    he, she = Referent("he", "person"), Referent("she", "person")
+    binding = Binding((("a", he), ("a", she)))
+    assert binding.referent("a") is he
+    completed = complete_binding(fd, binding)
+    assert completed.entries == (("a", he), ("b", he))
+
+
 def test_duplicate_binding_entry_rejected():
     with pytest.raises(ParseError, match="twice"):
         parse_binding("(binding (ref ?a she person) (ref ?a she person))")

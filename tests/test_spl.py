@@ -44,7 +44,7 @@ def _plan(bundle, golden_forms, pattern_name, lemma, binding, emphasis_q):
         form, bundle.process_rules, bundle.role_maps, bundle.upper_model
     )
     verb = verb_entry(bundle, lemma, pattern_name)
-    return build_spl(form, selection, verb, binding, emphasis_q)
+    return build_spl(selection, verb, binding, emphasis_q)
 
 
 def test_send_dative_plan_tokens(bundle, golden_forms, binding_send):
@@ -94,7 +94,7 @@ def test_recipient_annotation_on_goal_blocked_form_fails(
     )
     verb = verb_entry(bundle, "verlieren")
     with pytest.raises(UnverbalizedRoleError):
-        build_spl(form, selection, verb, binding_key, EmphasisQ.EMPHATIC)
+        build_spl(selection, verb, binding_key, EmphasisQ.EMPHATIC)
 
 
 def test_lose_plan_actor_and_actee(bundle, golden_forms, binding_key):
@@ -103,7 +103,7 @@ def test_lose_plan_actor_and_actee(bundle, golden_forms, binding_key):
         form, bundle.process_rules, bundle.role_maps, bundle.upper_model
     )
     verb = verb_entry(bundle, "verlieren")
-    term = build_spl(form, selection, verb, binding_key)
+    term = build_spl(selection, verb, binding_key)
     assert serialize_spl(term) == (
         "(lose / dispositive-material-action :actor (she / person) "
         ":actee (key / object))"
@@ -226,10 +226,18 @@ def test_unwritable_atoms_refused_every_time(word):
                 serialize_spl(term)
 
 
-def test_quoted_string_filler_written_quoted():
-    """Quoted even where its text would make a bare symbol."""
-    plain, escaped = QuotedString("an"), QuotedString('a "b" \\ c')
-    term = SplTerm("e", "action", ((":p", plain), (":k", SplTerm("x", "o", ((":q", escaped),)))))
-    text = serialize_spl(term)
-    assert text == '(e / action :p "an" :k (x / o :q "a \\"b\\" \\\\ c"))'
-    assert text == sexpr.write(plan_list(term))
+def test_quoted_string_or_integer_atom_refused():
+    """An atom that is not a bare symbol, in any position: ``sexpr.write``
+    would write it, but ``parse_spl`` refuses that text, so ``serialize_spl``
+    raises instead."""
+    for atom in (QuotedString("an"), QuotedString('a "b" \\ c'), 3, -1):
+        for term in (
+            SplTerm("e", "action", ((":p", atom),)),
+            SplTerm("e", "action", ((":k", SplTerm("x", "o", ((":q", atom),))),)),
+            SplTerm(atom, "action"),
+            SplTerm("e", atom),
+        ):
+            with pytest.raises(ValueError, match="not writable as a bare symbol"):
+                serialize_spl(term)
+            with pytest.raises(ParseError):
+                parse_spl(sexpr.write(plan_list(term)))
