@@ -34,7 +34,9 @@ DATA = Path(emphase.__file__).resolve().parent / "data"
 # oblique entry), then one fault for each other stage, then process rules
 # that overlap: the shipped ones plus a second rule for directed-action,
 # then one file per grammar with a clause repeated inside one term, then
-# one file per data-file fault that the lines above do not reach.
+# one file per data-file fault that the lines above do not reach, then
+# the two other ways generate's process selection fails (no rule matches,
+# a rule names an unknown type), then one file per term-reader error.
 FAULTY = {
     "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
   (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
@@ -107,6 +109,20 @@ FAULTY = {
         encoding="utf-8").replace("(role-map recipient goal)", "(role-map recipient goal source)"),
     "three-schicken.lex": (DATA / "lexicon" / "change-of-possession.lex").read_text(
         encoding="utf-8").replace('(verb "verlieren"', '(verb "schicken"'),
+    "no-directed-action.process": (DATA / "rules" / "change-of-possession.process").read_text(
+        encoding="utf-8").replace(
+            "(process-rule directed-action\n  (and (unblocked agens) (unblocked goal)))\n", ""),
+    "no-directed-action.um": (DATA / "upper-model.um").read_text(encoding="utf-8").replace(
+        "(um-type directed-action action)\n", ""),
+    "unterminated-string.field": '(field f (scheme (have ?x ?y)) (emphasis-start ("))\n',
+    "unexpected-paren.rules": (DATA / "rules" / "change-of-possession.rules").read_text(
+        encoding="utf-8") + ")\n",
+    "missing-paren.lex": (DATA / "lexicon" / "change-of-possession.lex").read_text(
+        encoding="utf-8").rstrip()[:-1] + "\n",
+    "deep.field": "(field f (scheme " + "(" * 200 + "have ?x ?y" + ")" * 200 + "))\n",
+    "trailing.field": (DATA / "fields" / "change-of-possession.field").read_text(
+        encoding="utf-8") + "(scheme (have ?x ?y))\n",
+    "long-integer.field": f"(field f (scheme (have ?x ?y)) (emphasis-start ({'1' * 5000})))\n",
 }
 
 FORMATS = ("text", "structured")
@@ -160,6 +176,15 @@ def invocations() -> list[tuple[str, ...]]:
         ("generate", "--verb", "schicken", *send, "--script", DECISIONS[3][1],
          "--process", "{faulty}/recipient-source.process",
          "--lexicon", "{faulty}/three-schicken.lex"),
+        *(("generate", "--verb", "schicken", *send, "--emphasis-q", "emphatic", flag, path)
+          for flag, path in (("--process", "{faulty}/overlap.process"),
+                             ("--process", "{faulty}/no-directed-action.process"),
+                             ("--um", "{faulty}/no-directed-action.um"))),
+        ("frame", "--field", "{faulty}/unterminated-string.field"),
+        ("frame", "--rules", "{faulty}/unexpected-paren.rules"),
+        ("check", "--lexicon", "{faulty}/missing-paren.lex"),
+        *(("frame", "--field", f"{{faulty}}/{name}.field")
+          for name in ("deep", "trailing", "long-integer")),
     ]
     return runs
 
