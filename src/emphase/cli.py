@@ -18,7 +18,7 @@ from pathlib import Path
 from . import sexpr
 from .discourse import EmphasisQ, decide_emphasis_q, parse_script, run_script, status_of
 from .emphasis import DirectCase, Oblique, RoleRealization
-from .errors import EmphaseError, InputError, RuleGapError, UnclassifiedFormError
+from .errors import EmphaseError, InputError, SelectionError, UnclassifiedFormError
 from .lexicon import ProcessSelection, match_verbs
 from .pipeline import (
     DATA_FILES,
@@ -73,6 +73,7 @@ def _config_from(args: argparse.Namespace) -> Config:
     return config
 
 
+@cache  # parse_args leaves the parsers as they were
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emphase",
@@ -165,10 +166,11 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
     cells = _written(_cell_term)
     lemmas = _written(QuotedString)
     processes = _written(_process_term)
-    for index, (form, selection) in enumerate(bundle.atlas.values(), start=1):
+    enumeration = bundle.enumerate_forms()
+    for index, form in enumerate(enumeration.forms, start=1):
+        selection = bundle.selection(form)
         verbs = match_verbs(form, bundle.verbs)
-        # a form no rule or more than one rule classifies is marked, not fatal
-        if isinstance(selection, RuleGapError):
+        if isinstance(selection, SelectionError):  # a form no rule or several classify is marked
             unclassified = isinstance(selection, UnclassifiedFormError)
             selection = "unclassified" if unclassified else "ambiguous"
         if fmt == "structured":
@@ -195,7 +197,6 @@ def cmd_forms(bundle: Bundle, fmt: str) -> list[str]:
             else:
                 participants = " ".join(f"{r}={v}" for r, v in selection.participants)
                 lines.append(f"  process: {selection.um_type} [{participants}]")
-    enumeration = bundle.enumerate_forms()
     if fmt == "structured":
         lines.append(sexpr.write(["count", len(enumeration.forms)]))
     else:

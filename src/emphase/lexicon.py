@@ -259,7 +259,7 @@ def select_process_type(
     form: SemanticForm,
     rules: list[ProcessRule],
     role_maps: list[RoleMapRule],
-    upper_model: UpperModel | None = None,
+    upper_model: UpperModel,
 ) -> ProcessSelection:
     """Classify the form and fill its participant roles.
 
@@ -278,7 +278,7 @@ def select_process_type(
             (form.emphasis, form.blocking),
         )
     um_type = matches[0].um_type
-    if upper_model is not None and um_type not in upper_model:
+    if um_type not in upper_model:
         raise UnclassifiedFormError(
             f"process rule names unknown upper-model type {um_type!r}"
         )

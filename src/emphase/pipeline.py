@@ -21,11 +21,9 @@ from typing import NamedTuple
 
 from .discourse import DiscourseState, EmphasisQ, decide_emphasis_q, status_of
 from .emphasis import (
-    BlockingSet,
     Case,
     CasePriority,
     DirectCase,
-    EmphasisAssignment,
     FormEnumeration,
     Oblique,
     ObliqueTable,
@@ -85,8 +83,6 @@ from .spl import RECIPIENT_ROLE, SplTerm, build_spl
 
 # package data resolves to real files; CLI overrides are plain paths
 DataPath = Path | Traversable
-
-Pattern = tuple[EmphasisAssignment, BlockingSet]
 
 
 class Frame(NamedTuple):
@@ -258,20 +254,6 @@ class Bundle:
     def enumerate_forms(self) -> FormEnumeration:
         return self._enumeration
 
-    @cached_property
-    def atlas(self) -> dict[Pattern, tuple[SemanticForm, ProcessSelection | RuleGapError]]:
-        """Each form of the enumeration by its pattern, in canonical order,
-        with its process selection or the rule gap selecting it raised."""
-        atlas = {}
-        for form in self.enumerate_forms().forms:
-            try:
-                outcome = self.selection(form)
-            except RuleGapError as err:
-                # without its traceback, whose frames would hold this bundle
-                outcome = err.with_traceback(None)
-            atlas[form.emphasis, form.blocking] = (form, outcome)
-        return atlas
-
     def frames(self, lemma: str) -> list[Frame]:
         """The frame of each lexicon entry of ``lemma``."""
         frames = self._frames.get(lemma)
@@ -283,11 +265,10 @@ class Bundle:
             self._frames[lemma] = frames
         return frames
 
-    def selection(self, form: SemanticForm) -> ProcessSelection:
-        """Process type and participants of ``form``, classified once per
-        ``form.selection_key``.  Forms with one key share the selection; a
-        rule gap is raised anew for each form, and names that form's pattern
-        if it names one."""
+    def selection(self, form: SemanticForm) -> ProcessSelection | SelectionError:
+        """Process type and participants of ``form``, or the error selecting
+        them, classified once per ``form.selection_key``: an error is a new
+        one for each form, naming that form's pattern if the key's names one."""
         key = form.selection_key
         outcome = self._selections.get(key)
         if outcome is None:
@@ -300,7 +281,7 @@ class Bundle:
             self._selections[key] = outcome
         if isinstance(outcome, SelectionError):
             pattern = None if outcome.pattern is None else (form.emphasis, form.blocking)
-            raise type(outcome)(outcome.args[0], pattern)
+            return type(outcome)(outcome.args[0], pattern)
         return outcome
 
 
@@ -407,6 +388,8 @@ def generate(
     entry, form = chosen.entry, chosen.form
 
     selection = bundle.selection(form)
+    if isinstance(selection, SelectionError):
+        raise selection
     plan = build_spl(selection, entry, binding, effective_q)
     sentence = realize(
         form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
@@ -457,11 +440,13 @@ def check_bundle(bundle: Bundle) -> CheckReport:
         f"({enumeration.rejected_assignment} pairs rejected by case assignment)"
     )
 
-    atlas = bundle.atlas
+    # classified first: a fault in a process file is reported before one in the lexicon
+    overlaps = [o for o in map(bundle.selection, enumeration.forms)
+                if isinstance(o, OverlappingRulesError)]
     for entry in bundle.verbs:
         name = f"verb {entry.lemma!r} " + pattern_text(entry.emphasis, entry.blocking)
         try:
-            form_for_entry(bundle, entry)
+            form = form_for_entry(bundle, entry)
         except InputError as err:
             problems.append((f"{name}: {err}", err.exit_code))
             continue
@@ -470,8 +455,8 @@ def check_bundle(bundle: Bundle) -> CheckReport:
             continue
         if entry.declared_um is None:
             continue
-        _, outcome = atlas[entry.emphasis, entry.blocking]
-        if isinstance(outcome, RuleGapError):  # its message, as name gives the pattern
+        outcome = bundle.selection(form)
+        if isinstance(outcome, SelectionError):  # its message, as name gives the pattern
             problems.append((f"{name}: {outcome.args[0]}", outcome.exit_code))
         elif outcome.um_type != entry.declared_um:
             problems.append((
@@ -481,7 +466,6 @@ def check_bundle(bundle: Bundle) -> CheckReport:
     if not problems and not rule_gaps:
         lines.append(f"lexicon: {len(bundle.verbs)} entries, patterns distinct")
 
-    overlaps = [o for _, o in atlas.values() if isinstance(o, OverlappingRulesError)]
     problems.extend((str(o), o.exit_code) for o in overlaps)
     if not overlaps:
         lines.append("process rules: disjoint over the atlas")

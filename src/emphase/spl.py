@@ -22,18 +22,14 @@ from .scheme import Binding
 RECIPIENT_ROLE = "recipient"
 
 
-class _SplFields(NamedTuple):
-    head: str
-    um_type: str
-    slots: tuple[tuple[str, "SplTerm | str"], ...] = ()
-
-
-class SplTerm(_SplFields):
+class SplTerm(NamedTuple):
     """Typed plan term with ordered keyword slots.  A term is built unchecked;
     its keywords are checked where text is read (``parse_spl``) or written
     (``serialize_spl``)."""
 
-    __slots__ = ()
+    head: str
+    um_type: str
+    slots: tuple[tuple[str, "SplTerm | str"], ...] = ()
 
     def slot(self, keyword: str) -> "SplTerm | str | None":
         for kw, filler in self.slots:

@@ -87,6 +87,13 @@ def script_path():
     return config.field_path.parent.parent / "discourse" / "biography.script"
 
 
+def atlas_of(bundle) -> dict:
+    """Each enumerated form by its pattern, in canonical order, with the
+    outcome ``bundle.selection`` returns for it."""
+    return {(form.emphasis, form.blocking): (form, bundle.selection(form))
+            for form in bundle.enumerate_forms().forms}
+
+
 def verb_entry(bundle, lemma, pattern_name=None):
     entries = [e for e in bundle.verbs if e.lemma == lemma]
     if pattern_name is None:

@@ -22,6 +22,8 @@ from emphase.pipeline import DATA_FILES, Config, load_bundle
 from emphase.roles import derive_case_frame
 from emphase.sexpr import QuotedString
 
+from conftest import atlas_of
+
 from bruteforce import (
     random_field,
     random_oblique,
@@ -146,7 +148,7 @@ def _form_term(form, selection, verbs) -> list:
 
 def assert_forms_lines_are_the_written_terms(bundle):
     lines = cmd_forms(bundle, "structured")
-    atlas = list(bundle.atlas.values())
+    atlas = list(atlas_of(bundle).values())
     assert len(lines) == len(atlas) + 1
     assert lines[-1] == sexpr.write(["count", len(atlas)])
     for line, (form, selection) in zip(lines, atlas):

@@ -123,7 +123,9 @@ def test_unmatched_form_raises_unclassified(bundle, forms_by_pattern):
 def test_unclassified_form_names_its_pattern_as_a_lexicon_entry_does(bundle, golden_forms):
     rules = [r for r in bundle.process_rules if r.um_type != "directed-action"]
     with pytest.raises(UnclassifiedFormError) as raised:
-        select_process_type(golden_forms["schicken-dative"], rules, bundle.role_maps)
+        select_process_type(
+            golden_forms["schicken-dative"], rules, bundle.role_maps, bundle.upper_model
+        )
     assert str(raised.value) == (
         "no process-type rule matches the form "
         "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"
@@ -140,7 +142,7 @@ def test_an_unclassified_form_writes_its_pattern_only_when_read(
     form = golden_forms["schicken-dative"]
     rules = [r for r in bundle.process_rules if r.um_type != "directed-action"]
     with pytest.raises(UnclassifiedFormError) as raised:
-        select_process_type(form, rules, bundle.role_maps)
+        select_process_type(form, rules, bundle.role_maps, bundle.upper_model)
     assert written == []
     assert str(raised.value) == "no process-type rule matches the form P"
     assert written == [(form.emphasis, form.blocking)]
@@ -161,17 +163,19 @@ def test_overlapping_rules_and_non_injective_map_are_told_apart(bundle, golden_f
         "(process-rule action (unblocked agens))"
     )
     with pytest.raises(OverlappingRulesError, match="not disjoint"):
-        select_process_type(form, rules, bundle.role_maps)
+        select_process_type(form, rules, bundle.role_maps, bundle.upper_model)
     clashing = bundle.role_maps + [RoleMapRule("beneficiary", ("goal",))]
     with pytest.raises(AmbiguousProcessError, match="injective") as exc:
-        select_process_type(form, bundle.process_rules, clashing)
+        select_process_type(form, bundle.process_rules, clashing, bundle.upper_model)
     assert not isinstance(exc.value, OverlappingRulesError)
 
 
 def test_overlapping_rules_name_the_form_they_overlap_on(bundle, golden_forms):
     rules, _ = parse_process_rules("(process-rule directed-action (unblocked goal))" * 2)
     with pytest.raises(OverlappingRulesError) as raised:
-        select_process_type(golden_forms["schicken-dative"], rules, bundle.role_maps)
+        select_process_type(
+            golden_forms["schicken-dative"], rules, bundle.role_maps, bundle.upper_model
+        )
     assert str(raised.value) == (
         "process-type rules are not disjoint: directed-action and directed-action "
         "(emphasis (0) (1) (1 0) (1 0 0)) (blocked ?a3 ?a4)"

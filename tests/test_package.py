@@ -167,7 +167,7 @@ def test_record_fields_are_annotated_with_evaluated_types():
                     if _quoted_names(annotation):
                         quoted.add(f"{module_info.name}.{name}.{field}")
     # each names a recursive type, defined only after the record
-    assert quoted == {"scheme.Proposition.args", "spl._SplFields.slots"}
+    assert quoted == {"scheme.Proposition.args", "spl.SplTerm.slots"}
 
 
 def test_the_oldest_supported_python_reads_the_data_and_generates():

@@ -39,7 +39,7 @@ from emphase.pipeline import (
 from emphase.realize import inflect_np, np_spec_for, realize
 from emphase.spl import serialize_spl
 
-from conftest import PATTERNS, plan_list
+from conftest import PATTERNS, atlas_of, plan_list
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -88,7 +88,7 @@ def _form_keys_hold(bundle) -> bool:
     def key(form):
         return form.emphasis, form.blocking.blocked & readable
 
-    atlas = bundle.atlas
+    atlas = atlas_of(bundle)
     assert all(form.selection_key == key(form) for form, _ in atlas.values())
     left_out = False
     for lemma in sorted({entry.lemma for entry in bundle.verbs}):
@@ -106,7 +106,7 @@ def test_each_frame_keeps_the_key_its_selection_is_looked_up_by(bundle, tmp_path
     # a bench field repeats role labels, so a key can leave blocked variables
     # out; one entry per atlas form the shipped rules classify
     config = fields.config_for(fields.write_field(tmp_path, 4, 1))
-    atlas = load_bundle(config).atlas
+    atlas = atlas_of(load_bundle(config))
     config.lexicon_path = tmp_path / "atlas.lex"
     config.lexicon_path.write_text("".join(
         f'(verb "v{i}" (field {form.field_name}) {pattern_text(*pattern)} '
@@ -430,8 +430,8 @@ def test_check_and_forms_classify_each_form_once(monkeypatch):
     for fmt in ("text", "structured"):
         cmd_forms(bundle, fmt)
     assert enumerated == Counter(forms=1)
-    assert selected == Counter({pattern: 1 for pattern in bundle.atlas})
-    assert len(bundle.atlas) == len(bundle.enumerate_forms().forms) == 15
+    assert selected == Counter({pattern: 1 for pattern in atlas_of(bundle)})
+    assert len(atlas_of(bundle)) == len(bundle.enumerate_forms().forms) == 15
 
 
 # the shipped process rules with a second rule for directed-action
@@ -473,7 +473,7 @@ def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, field, pr
         config.process_path = tmp_path / "test.process"
         config.process_path.write_text(process, encoding="utf-8")
     bundle = load_bundle(config)
-    for form, outcome in bundle.atlas.values():
+    for form, outcome in atlas_of(bundle).values():
         try:
             expected = lexicon.select_process_type(
                 form, bundle.process_rules, bundle.role_maps, bundle.upper_model
@@ -483,13 +483,13 @@ def test_classifying_per_key_gives_each_form_its_own_outcome(tmp_path, field, pr
         else:
             assert outcome == expected
     if process is OVERLAP_RULES:
-        assert any(isinstance(o, OverlappingRulesError) for _, o in bundle.atlas.values())
+        assert any(isinstance(o, OverlappingRulesError) for _, o in atlas_of(bundle).values())
 
 
 def test_a_bundle_with_rule_gaps_in_its_atlas_is_freed_without_the_collector():
     # a stored error that kept its traceback would hold the bundle in a cycle
     bundle = load_bundle(Config.default())
-    assert any(isinstance(outcome, RuleGapError) for _, outcome in bundle.atlas.values())
+    assert any(isinstance(outcome, RuleGapError) for _, outcome in atlas_of(bundle).values())
     freed = weakref.ref(bundle)
     gc.disable()
     try:
@@ -497,6 +497,50 @@ def test_a_bundle_with_rule_gaps_in_its_atlas_is_freed_without_the_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_selection_returns_each_form_a_new_error_that_generate_raises(tmp_path):
+    """``Bundle.selection`` returns a selection error instead of raising it:
+    a new one for each form, without a traceback, naming that form's
+    pattern.  ``generate`` raises the one returned for its chosen frame."""
+    overlap = Config.default()
+    overlap.process_path = tmp_path / "overlap.process"
+    overlap.process_path.write_text(OVERLAP_RULES, encoding="utf-8")
+    bench = fields.config_for(fields.write_field(tmp_path / "bench", 4, 1))
+    for config, binding_text in [
+        (overlap, read_data(Config.default().field_path.parent.parent
+                            / "bindings" / "he-him-invitation.binding")),
+        (bench, None),
+    ]:
+        bundle = load_bundle(config)
+        errors: dict[tuple, list] = {}  # by selection key: (form, error) in canonical order
+        for form in bundle.enumerate_forms().forms:
+            outcome = bundle.selection(form)
+            if isinstance(outcome, SelectionError):
+                assert outcome.__traceback__ is None
+                assert str(outcome).endswith(" " + pattern_text(form.emphasis, form.blocking))
+                errors.setdefault(form.selection_key, []).append((form, outcome))
+        outcomes = [outcome for pairs in errors.values() for _, outcome in pairs]
+        assert outcomes and len({id(outcome) for outcome in outcomes}) == len(outcomes)
+        if config is bench:
+            assert any(len(pairs) > 1 for pairs in errors.values())
+            variables = bundle.field.scheme.variables
+            binding_text = "(binding {})".format(
+                " ".join(f"(ref ?{v} r{i} person)" for i, v in enumerate(variables)))
+
+        # the one entry of the lexicon: the last form of the longest key
+        form, _ = max(errors.values(), key=len)[-1]
+        config.lexicon_path = tmp_path / "one.lex"
+        config.lexicon_path.write_text(
+            f'(verb "v" (field {form.field_name}) {pattern_text(form.emphasis, form.blocking)} '
+            '(event e) (present-3sg "vt"))', encoding="utf-8")
+        bundle = load_bundle(config)
+        with pytest.raises(SelectionError) as raised:
+            generate(bundle, "v", load_binding(bundle, binding_text))
+        (frame,) = bundle.frames("v")
+        assert (frame.form.emphasis, frame.form.blocking) == (form.emphasis, form.blocking)
+        expected = bundle.selection(frame.form)
+        assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
 
 
 def test_bad_entry_fails_every_call_and_only_its_lemma(tmp_path, binding_key):

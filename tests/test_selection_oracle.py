@@ -27,6 +27,8 @@ from emphase.pipeline import DATA_FILES, Config, load_bundle, read_data
 from emphase.scheme import print_field
 from emphase.sexpr import QuotedString
 
+from conftest import atlas_of
+
 from bruteforce import (
     case_frame_oracle,
     random_field,
@@ -177,7 +179,7 @@ def test_every_atlas_selection_is_the_oracles(tmp_path, seed):
     um_types = {t[1] for t in sexpr.read_all(read_data(config.um_path))}
     bundle = load_bundle(config)
     overlapping = set()
-    for form, selection in bundle.atlas.values():
+    for form, selection in atlas_of(bundle).values():
         expected = oracle_selection(texts["process_path"], um_types, frame, field.scheme, form)
         assert _outcome(selection) == expected, pattern_text(form.emphasis, form.blocking)
         if expected is OverlappingRulesError:
