@@ -36,7 +36,8 @@ DATA = Path(emphase.__file__).resolve().parent / "data"
 # then one file per grammar with a clause repeated inside one term, then
 # one file per data-file fault that the lines above do not reach, then
 # the two other ways generate's process selection fails (no rule matches,
-# a rule names an unknown type), then one file per term-reader error.
+# a rule names an unknown type), then one file per term-reader error,
+# then a lexicon whose first lemma leaves its quote open.
 FAULTY = {
     "zerfallen.lex": """(verb "zerfallen" (field change-of-possession)
   (emphasis (1) (1 1) (1 1 0) (1 1 0 0))
@@ -123,6 +124,8 @@ FAULTY = {
     "trailing.field": (DATA / "fields" / "change-of-possession.field").read_text(
         encoding="utf-8") + "(scheme (have ?x ?y))\n",
     "long-integer.field": f"(field f (scheme (have ?x ?y)) (emphasis-start ({'1' * 5000})))\n",
+    "open-quote.lex": (DATA / "lexicon" / "change-of-possession.lex").read_text(
+        encoding="utf-8").replace('"verlieren"', '"verlieren', 1),
 }
 
 FORMATS = ("text", "structured")
@@ -185,6 +188,11 @@ def invocations() -> list[tuple[str, ...]]:
         ("check", "--lexicon", "{faulty}/missing-paren.lex"),
         *(("frame", "--field", f"{{faulty}}/{name}.field")
           for name in ("deep", "trailing", "long-integer")),
+        ("generate", "--verb", "schicken", *send, "--emphasis-q", "emphatic",
+         "--script", DECISIONS[3][1]),
+        ("generate", "--verb", "schicken", *send, "--emphasis-q", "emphatic",
+         "--focus", "beneficiary"),
+        ("check", "--lexicon", "{faulty}/open-quote.lex"),
     ]
     return runs
 
