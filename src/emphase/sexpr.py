@@ -3,17 +3,18 @@
 Every data file in this package (field definitions, rule tables,
 lexicons, bindings, discourse scripts) and the structured CLI output
 share one term syntax: nested parenthesized lists whose atoms are bare
-symbols, integers, or double-quoted strings.  ``;`` starts a comment
-that runs to end of line.  Input is whitespace-insensitive; the writer
-emits the canonical form (one space between tokens, no trailing
-whitespace), so equal values always print byte-identically.
+symbols, integers, or double-quoted strings, each string ending on the
+line it starts.  ``;`` starts a comment that runs to end of line.
+Input is whitespace-insensitive; the writer emits the canonical form
+(one space between tokens, no trailing whitespace), so equal values
+always print byte-identically.
 
 The reader makes one pass: a single regular-expression scan splits the
 text into tokens, and one loop keeps a stack of the lists still open and
 converts each atom as it comes.  A token's line and column are counted
-only for an error.  An atom that does not read (a string never closed,
-an integer longer than ``int()`` converts) is reported before any
-bracket fault, wherever it sits in the text.
+only for an error.  An atom that does not read (a string not closed on
+its line, an integer longer than ``int()`` converts) is reported before
+any bracket fault, wherever it sits in the text.
 
 The data-file parsers read each slot of a term through the accessors at
 the end of this module, so the kind of term a slot takes, and the error
@@ -51,9 +52,12 @@ class QuotedString(str):
 Term = int | str | list
 
 
-# A paren, a comment, a quoted string, a bare word, or a '"' never
-# closed; whitespace (str.isspace) is what no alternative matches.
-_TOKEN = re.compile(r'[()]|;[^\n]*|"(?:[^"\\]|\\.)*"|[^\s()";]+|"', re.S)
+# The characters str.splitlines breaks a line at ("\r\n" is one break of two).
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# A paren, a comment, a quoted string, a bare word, or a '"' not closed
+# before the next line boundary; whitespace (str.isspace) is what no
+# alternative matches.
+_TOKEN = re.compile(rf'[()]|;[^\n]*|"(?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*"|[^\s()";]+|"')
 _ESCAPE = re.compile(r'\\(["\\])')
 _CONVERTED = '"-0123456789'  # first characters of the atoms _atom converts
 
@@ -171,8 +175,7 @@ def write(term: Term) -> str:
 
 
 def _wrong(term: Term, slot: str, expected: str) -> ParseError:
-    shown = " ".join(write(term).splitlines())  # one line, even for a quoted newline
-    return ParseError(f"{slot} must be {expected}, got {shown}")
+    return ParseError(f"{slot} must be {expected}, got {write(term)}")
 
 
 def symbol(term: Term, slot: str) -> str:
@@ -183,13 +186,10 @@ def symbol(term: Term, slot: str) -> str:
 
 
 def string(term: Term, slot: str) -> str:
-    """The text of a quoted string on one line: output writes each term on
-    one line, and the reader has no escape for a line boundary."""
-    if not isinstance(term, QuotedString):
-        raise _wrong(term, slot, "a quoted string")
-    if "".join(term.splitlines()) != term:
-        raise _wrong(term, slot, "a quoted string on one line")
-    return str(term)
+    """The text of a quoted string, which the reader ends on its line."""
+    if isinstance(term, QuotedString):
+        return str(term)
+    raise _wrong(term, slot, "a quoted string")
 
 
 def integer(term: Term, slot: str) -> int:

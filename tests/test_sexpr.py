@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,8 +181,6 @@ def test_accessors_return_values():
      "an entry must be (b ...) with 1 to 2 argument(s), got (b 1 2 3)"),
     (lambda t: sexpr.clause(t, "an entry", (2, None)), "(b 1)",
      "an entry must be (b ...) with at least 2 argument(s), got (b 1)"),
-    (lambda t: sexpr.symbol(t, "the name"), '("two\nlines")',
-     'the name must be a symbol, got ("two lines")'),
 ])
 def test_accessor_errors_name_the_slot_and_show_the_term(accessor, text, message):
     with pytest.raises(ParseError) as info:
@@ -272,12 +271,35 @@ def test_a_clause_value_is_read_before_a_missing_clause_is_named():
     assert str(info.value) == "the (event ...) of verb 'x' must be a symbol, got \"lose\""
 
 
+_SHIPPED = {path.relative_to(path.parents[1]).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted((Path(sexpr.__file__).parent / "data").rglob("*.*"))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_lone_quote_is_reported_where_it_stands(data):
+    """A ``"`` inserted into a line of a shipped data file that holds no
+    other quote, before any comment there, is reported at its own line and
+    column, though later lines hold quoted strings."""
+    lines = _SHIPPED[data.draw(st.sampled_from(sorted(_SHIPPED)))].split("\n")
+    index = data.draw(st.sampled_from([i for i, line in enumerate(lines) if '"' not in line]))
+    line = lines[index]
+    column = data.draw(st.integers(0, line.find(";") if ";" in line else len(line)))
+    lines[index] = line[:column] + '"' + line[column:]
+    with pytest.raises(ParseError) as info:
+        sexpr.read_all("\n".join(lines))
+    place = (index + 1, column + 1)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "{}:{}: unterminated string".format(*place), *place)
+
+
 @pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
                                       "\x1e", "\x85", "\u2028", "\u2029"])
 def test_string_refuses_a_line_boundary(boundary):
+    """A quoted string ends on the line it starts, whichever boundary
+    ``str.splitlines`` breaks it at: the reader names its opening quote."""
     assert sexpr.string(sexpr.read('""'), "s") == ""
-    term = sexpr.read(f'"ver{boundary}lieren"')
     with pytest.raises(ParseError) as info:
-        sexpr.string(term, "a verb lemma")
-    assert str(info.value).startswith("a verb lemma must be a quoted string on one line, got ")
-    assert len(str(info.value).splitlines()) == 1
+        sexpr.read(f'(verb "ver{boundary}lieren")')
+    assert (str(info.value), info.value.line, info.value.column) == (
+        "1:7: unterminated string", 1, 7)

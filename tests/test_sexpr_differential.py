@@ -1,9 +1,12 @@
 """The term reader against a reference copy of the two-pass reader it
 replaced: the whole text tokenized first, then a recursive parse.
 
-The reference is kept here, unchanged, as the contract: for every text,
-``read`` and ``read_all`` give the same value with the same atom types,
-or the same error message, line and column.
+The reference is kept here as the contract: for every text, ``read``
+and ``read_all`` give the same value with the same atom types, or the
+same error message, line and column.  Its one change since it was
+copied: a quoted string ends on the line it starts (at any boundary
+``str.splitlines`` knows), so a quote left open is reported where it is,
+not where the next string opens.
 """
 
 import re
@@ -18,13 +21,13 @@ from emphase.sexpr import MAX_DEPTH, QuotedString
 # ---------------------------------------------------------------------------
 # Reference reader: tokenize the whole text, then parse recursively.
 
+_BREAKS = "".join(c for c in map(chr, range(0x2030)) if len(f"a{c}b".splitlines()) == 2)
 _TOKENS = re.compile(
     r"(\s+|;[^\n]*)"  # whitespace (str.isspace) or a comment
     r"|([()])"
-    r'|"((?:[^"\\]|\\.)*)"'  # a quoted string's body
+    rf'|"((?:[^"\\{_BREAKS}]|\\[^{_BREAKS}])*)"'  # a quoted string's body, on one line
     r'|([^\s()";]+)'  # a bare word
-    r'|(")',  # a string that is never closed
-    re.S,
+    r'|(")',  # a string not closed on its line
 )
 _ESCAPE = re.compile(r'\\(["\\])')
 
@@ -151,6 +154,8 @@ def test_reader_agrees_with_the_reference_on_random_texts(text):
     # missing ')' sits on the innermost '(' left open
     ("(a (b (c)\n", sexpr.read, ("1:4: missing ')' before end of input", 1, 4)),
     ("; only\n; comments", sexpr.read, ("1:1: empty input", 1, 1)),
+    # a quote left open is reported, not the next string's opening quote
+    ('(a "x)\n(b "y")\n', sexpr.read_all, ("1:4: unterminated string", 1, 4)),
 ])
 def test_fixed_cases(text, reader, expected):
     with pytest.raises(ParseError) as info:
