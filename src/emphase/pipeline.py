@@ -57,12 +57,11 @@ from .lexicon import (
 )
 from .realize import (
     MorphTable,
+    NounPhrases,
     NPLexicon,
-    inflect_np,
-    np_spec_for,
+    fill_template,
     parse_morph_table,
     parse_np_lexicon,
-    realize,
 )
 from .roles import (
     CaseFrame,
@@ -171,9 +170,10 @@ class Bundle:
     Each piece is read and validated on first use, so a command that
     only needs the case frame never parses the lexicon, and overriding
     one file does not force the others to stay coherent with it.
-    The enumeration, the frames of a lemma and the process selection of
-    a key, rule gap or not, are derived on first request and kept; a
-    failed derivation of any other kind is not.
+    The enumeration, the frames of a lemma, the process selection of a
+    key, rule gap or not, and the noun phrase of a referent in a case
+    (``noun_phrases``) are derived on first request and kept; a failed
+    derivation of any other kind is not.
     """
 
     def __init__(self, config: Config):
@@ -236,6 +236,10 @@ class Bundle:
     @cached_property
     def morph_table(self) -> MorphTable:
         return self._parse(parse_morph_table, self.config.morph_path)
+
+    @cached_property
+    def noun_phrases(self) -> NounPhrases:
+        return NounPhrases(self.np_lexicon, self.morph_table)
 
     def load_all(self) -> "Bundle":
         for piece in (
@@ -354,16 +358,18 @@ def generate(
 
     effective_q = emphasis_q
     if script_state is not None:
-        referents = (binding.referent(f.recipient) for f in candidates if f.recipient is not None)
-        recipient_referents = {r.name for r in referents if r is not None}
+        recipient_referents: list[str] = []
+        for frame in candidates:
+            referent = None if frame.recipient is None else binding.referent(frame.recipient)
+            if referent is not None and referent.name not in recipient_referents:
+                recipient_referents.append(referent.name)
         if len(recipient_referents) > 1:
             raise InputError(
                 "frames disagree about the recipient referent: "
                 + ", ".join(sorted(recipient_referents))
             )
         if recipient_referents:
-            (referent,) = recipient_referents
-            effective_q = decide_emphasis_q(status_of(script_state, referent))
+            effective_q = decide_emphasis_q(status_of(script_state, recipient_referents[0]))
     if focus_role == RECIPIENT_ROLE and effective_q is EmphasisQ.EMPHATIC:
         raise FocusConflictError(
             "an emphatic participant cannot take the focus position, "
@@ -391,9 +397,7 @@ def generate(
     if isinstance(selection, SelectionError):
         raise selection
     plan = build_spl(selection, entry, binding, effective_q)
-    sentence = realize(
-        form, entry, binding, bundle.np_lexicon, bundle.morph_table, effective_q
-    )
+    sentence = fill_template(form, entry, binding, bundle.noun_phrases, effective_q)
     return GenerationResult(entry, form, selection, plan, sentence, effective_q)
 
 
@@ -474,7 +478,7 @@ def check_bundle(bundle: Bundle) -> CheckReport:
     for referent in bundle.np_lexicon:
         for case in (Case.NOMINATIVE, Case.DATIVE, Case.ACCUSATIVE):
             try:
-                inflect_np(np_spec_for(referent, case, bundle.np_lexicon), bundle.morph_table)
+                bundle.noun_phrases[referent, case]
             except RuleGapError as err:
                 morph_gaps += 1
                 rule_gaps.append((f"referent {referent}: {err}", err.exit_code))

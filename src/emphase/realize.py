@@ -10,7 +10,8 @@ emphatic status (dative) is refused there.
 
 Noun phrases come from a small per-referent lexicon (noun with gender
 and definiteness, or pronoun) inflected through determiner/pronoun
-form tables.
+form tables, and are kept by referent and case in a ``NounPhrases``
+table.
 """
 
 from enum import Enum
@@ -104,6 +105,20 @@ def np_spec_for(referent_name: str, case: Case, np_lexicon: NPLexicon) -> NPSpec
     return NPSpec(entry.lemma, case, entry.gender, entry.definiteness)
 
 
+class NounPhrases(dict):
+    """Inflected noun phrases by ``(referent, case)``: each is derived from
+    the NP lexicon and morphology table on first use and kept.  A
+    ``MissingMorphologyError`` is raised on every use and never kept."""
+
+    def __init__(self, np_lexicon: NPLexicon, morph_table: MorphTable):
+        super().__init__()
+        self.np_lexicon, self.morph_table = np_lexicon, morph_table
+
+    def __missing__(self, key: tuple[str, Case]) -> str:
+        text = self[key] = inflect_np(np_spec_for(*key, self.np_lexicon), self.morph_table)
+        return text
+
+
 def realize(
     form: SemanticForm,
     verb: VerbEntry,
@@ -112,12 +127,28 @@ def realize(
     morph_table: MorphTable,
     emphasis_q: EmphasisQ | None = None,
 ) -> str:
-    """Declarative sentence for a form its verb lexicalizes.
+    """Declarative sentence for a form its verb lexicalizes, each noun
+    phrase derived from the NP lexicon and morphology table."""
+    return fill_template(
+        form, verb, binding, NounPhrases(np_lexicon, morph_table), emphasis_q
+    )
+
+
+def fill_template(
+    form: SemanticForm,
+    verb: VerbEntry,
+    binding: Binding,
+    noun_phrases: NounPhrases,
+    emphasis_q: EmphasisQ | None = None,
+) -> str:
+    """The template's sentence for a form its verb lexicalizes, each noun
+    phrase read from ``noun_phrases``.
 
     The grouping of the form's variables by case is kept on the form
     (``SemanticForm.case_layout``), so a form that persists, such as
     each frame of a ``Bundle``, pays for it once; only the noun phrases
-    depend on the binding.
+    depend on the binding, and a table that persists, such as a
+    ``Bundle``'s, inflects each once.
     """
     if not verb.matches(form):
         raise InputError(
@@ -128,7 +159,7 @@ def realize(
         referent = binding.referent(variable)
         if referent is None:
             raise InputError(f"binding has no referent for variable {variable}")
-        return inflect_np(np_spec_for(referent.name, case, np_lexicon), morph_table)
+        return noun_phrases[referent.name, case]
 
     subjects, genitives, datives, accusatives, obliques = form.case_layout
     if len(subjects) != 1:

@@ -18,6 +18,7 @@ from .discourse import EmphasisQ
 from .errors import ParseError, UnverbalizedRoleError
 from .lexicon import ProcessSelection, VerbEntry
 from .scheme import Binding
+from .sexpr import _symbol_ok
 
 RECIPIENT_ROLE = "recipient"
 
@@ -78,20 +79,30 @@ def serialize_spl(term: SplTerm) -> str:
 
 
 def _write(term: SplTerm) -> str:
-    words = [_atom(term.head), "/", _atom(term.um_type)]
-    for keyword, filler in term.slots:
-        word = _atom(keyword)
-        if word[0] != ":":  # what parse_spl reads as a keyword: a bare symbol with ':'
+    """The text of ``term``, written in one pass with each atom checked in
+    place: ``_symbol_ok`` is asked only of a ``str`` (a ``QuotedString``
+    shares its cache entry with the equal symbol)."""
+    head, um_type, slots = term
+    if type(head) is not str or not _symbol_ok(head):
+        raise _unwritable(head)
+    if type(um_type) is not str or not _symbol_ok(um_type):
+        raise _unwritable(um_type)
+    text = f"({head} / {um_type}"
+    for keyword, filler in slots:
+        if type(keyword) is not str or not _symbol_ok(keyword):
+            raise _unwritable(keyword)
+        if keyword[0] != ":":  # what parse_spl reads as a keyword: a bare symbol with ':'
             raise ValueError(f"slot keyword must start with ':': {keyword!r}")
-        words.append(word)
-        words.append(_write(filler) if isinstance(filler, SplTerm) else _atom(filler))
-    return "(" + " ".join(words) + ")"
+        if isinstance(filler, SplTerm):
+            filler = _write(filler)
+        elif type(filler) is not str or not _symbol_ok(filler):
+            raise _unwritable(filler)
+        text += f" {keyword} {filler}"
+    return text + ")"
 
 
-def _atom(value) -> str:
-    if type(value) is str and sexpr._symbol_ok(value):
-        return value
-    raise ValueError(f"not writable as a bare symbol: {value!r}")
+def _unwritable(value) -> ValueError:
+    return ValueError(f"not writable as a bare symbol: {value!r}")
 
 
 def _term_from_sexpr(value) -> SplTerm:

@@ -1,6 +1,7 @@
 """Bundle loading, frame selection, and end-to-end generation."""
 
 import gc
+import importlib
 import itertools
 import sys
 import weakref
@@ -17,6 +18,7 @@ from emphase.errors import (
     EmphaseError,
     FocusConflictError,
     InputError,
+    MissingMorphologyError,
     MissingRuleError,
     OrderingConflictError,
     OverlappingRulesError,
@@ -251,11 +253,16 @@ def test_generate_equals_a_reference_built_from_the_realization_entries(
     """Every lemma, both shipped bindings, each emphasis-q and script
     state, focus on each participant role: the same sentence, plan text,
     error type and message as a pipeline whose sentence is read off the
-    realization entries and whose plan is written as a list."""
+    realization entries, with each noun phrase inflected anew instead of
+    read from the bundle's table, and whose plan is written as a list."""
     scripts = [run_script(parse_script(read_data(script_path))),
                run_script(parse_script("(sentence (mentions glassworks))"))]
     actual_bundle = load_bundle(Config.default())
     reference_bundle = load_bundle(Config.default())
+
+    def reference_fill(form, verb, binding, noun_phrases, emphasis_q=None):
+        return _reference_realize(form, verb, binding, reference_bundle.np_lexicon,
+                                  reference_bundle.morph_table, emphasis_q)
     lemmas = sorted({entry.lemma for entry in actual_bundle.verbs}) + ["geben"]
     roles = [None, "recipent"] + [rule.um_role for rule in actual_bundle.role_maps]
     options = [{}] + [{"emphasis_q": q} for q in EmphasisQ]
@@ -269,7 +276,7 @@ def test_generate_equals_a_reference_built_from_the_realization_entries(
                     actual = _outcome(lambda: generate(
                         actual_bundle, *request, focus_role=role, **option))
                     with monkeypatch.context() as patched:
-                        patched.setattr(pipeline, "realize", _reference_realize)
+                        patched.setattr(pipeline, "fill_template", reference_fill)
                         expected = _outcome(lambda: generate(
                             reference_bundle, *request, focus_role=role, **option))
                     if isinstance(actual[1], tuple):  # a plan term
@@ -409,6 +416,72 @@ def test_generate_derives_forms_and_selections_once(monkeypatch, binding_send, b
         generate(bundle, "wegwerfen", binding_key)
     assert derived == Counter({e: 1 for e in bundle.verbs})
     assert selected == Counter({pattern: 1 for pattern in PATTERNS.values()})
+
+
+def _requests(binding_send, binding_key, script_path):
+    """The shipped lemmas under each decision that generates."""
+    state = run_script(parse_script(read_data(script_path)))
+    return [("verlieren", binding_key, {}), ("wegwerfen", binding_key, {}),
+            *(("schicken", binding_send, {"emphasis_q": q}) for q in EmphasisQ),
+            ("schicken", binding_send, {"script_state": state})]
+
+
+def test_a_bundle_inflects_each_noun_phrase_once(monkeypatch, binding_send, binding_key,
+                                                 script_path):
+    """Each (referent, case) is inflected on its first request and read from
+    the bundle's table after that; a fresh bundle inflects each once again
+    and gives the same sentences."""
+    inflected, inflect = Counter(), inflect_np
+    realize_module = importlib.import_module("emphase.realize")
+
+    def counting(spec, table):
+        inflected[spec] += 1
+        return inflect(spec, table)
+
+    monkeypatch.setattr(realize_module, "inflect_np", counting)
+    requests = _requests(binding_send, binding_key, script_path) * 3
+    answers = []
+    for bundle in (load_bundle(Config.default()), load_bundle(Config.default())):
+        inflected.clear()
+        answers.append([generate(bundle, lemma, binding, **options).sentence
+                        for lemma, binding, options in requests])
+        assert set(bundle.noun_phrases) == {
+            ("she", Case.NOMINATIVE), ("key", Case.ACCUSATIVE), ("he", Case.NOMINATIVE),
+            ("him", Case.DATIVE), ("him", Case.ACCUSATIVE), ("invitation", Case.ACCUSATIVE),
+        }
+        assert inflected == Counter(
+            {np_spec_for(*key, bundle.np_lexicon): 1 for key in bundle.noun_phrases})
+    assert answers[0] == answers[1]
+
+
+def test_a_missing_morphology_row_fails_every_generate_that_needs_it(
+    tmp_path, binding_send, binding_key
+):
+    """The error is raised on each request that needs the row, before and
+    after other lemmas generate, and is never kept: each answer is the one
+    a fresh bundle gives."""
+    config = Config.default()
+    config.morph_path = tmp_path / "no-dative-pronoun.morph"
+    config.morph_path.write_text(read_data(Config.default().morph_path).replace(
+        "(pronoun-form masc dative ihm)\n", ""), encoding="utf-8")
+    emphatic = ("schicken", binding_send, {"emphasis_q": EmphasisQ.EMPHATIC})
+    requests = [emphatic, ("verlieren", binding_key, {}), emphatic,
+                ("schicken", binding_send, {"emphasis_q": EmphasisQ.NONEMPHATIC}), emphatic]
+
+    def answer(bundle, lemma, binding, options):
+        try:
+            return generate(bundle, lemma, binding, **options).sentence
+        except EmphaseError as err:
+            return type(err), str(err), err.stage
+
+    bundle = load_bundle(config)
+    answers = [answer(bundle, *request) for request in requests]
+    assert answers == [answer(load_bundle(config), *request) for request in requests]
+    refusal = (MissingMorphologyError, "no masc pronoun form for dative", None)
+    assert answers[0::2] == [refusal] * 3
+    assert answers[1::2] == ["Sie verliert den Schlüssel.",
+                             "Er schickt eine Einladung an ihn."]
+    assert ("him", Case.DATIVE) not in bundle.noun_phrases
 
 
 def test_check_and_forms_classify_each_form_once(monkeypatch):
